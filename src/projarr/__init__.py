@@ -11,7 +11,7 @@ from .arrangement import (
     serialize_arrangement,
     union_arrangement,
 )
-from .linalg import Subspace, rref, snf, solve_integer, subspace_intersection, subspace_sum
+from .linalg import Subspace, rref, snf, subspace_intersection, subspace_sum
 from .oracles import compare, mobius, os_poincare_projective, stratified_euler
 from .poset import (
     IntersectionPoset,
@@ -65,7 +65,6 @@ __all__ = [
     "rref",
     "serialize_arrangement",
     "snf",
-    "solve_integer",
     "stratified_euler",
     "subspace_intersection",
     "subspace_sum",

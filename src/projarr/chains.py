@@ -10,15 +10,8 @@ representative cycles and an exact coordinatizer per degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .linalg import (
-    int_inverse_unimodular,
-    int_matvec,
-    make_matrix,
-    snf,
-    solve_rational,
-)
+from .linalg import int_identity, int_matvec, snf
 from .poset import IntersectionPoset
 
 IntChain = dict[tuple, int]
@@ -159,6 +152,30 @@ def _leading_sign(vec) -> int:
     return 1
 
 
+def _image_in_kernel_coords(vinv, rank_out: int, bnd_in) -> list[list[int]]:
+    """Rows rank_out: of vinv·bnd_in, built from the nonzeros of bnd_in.
+
+    Because ∂_r·V = U⁻¹·D, a cycle b has V⁻¹b = (0, …, 0, w) with w its
+    coordinates in the kernel basis V[:, rank_out:]."""
+    nr = len(vinv)
+    vinv_cols = [[(k, row[i]) for k, row in enumerate(vinv) if row[i]] for i in range(nr)]
+    columns = [[] for _ in bnd_in[0]]
+    for i, row in enumerate(bnd_in):
+        for j, x in enumerate(row):
+            if x:
+                columns[j].append((vinv_cols[i], x))
+    out = []
+    for entries in columns:
+        y = [0] * nr
+        for col, x in entries:
+            for k, c in col:
+                y[k] += x * c
+        if any(y[:rank_out]):
+            raise RuntimeError("image column outside the cycle lattice")
+        out.append(y[rank_out:])
+    return [list(row) for row in zip(*out)]
+
+
 def homology(cx: ChainComplex) -> HomologySummary:
     degrees = []
     for r in range(cx.top_degree + 1):
@@ -169,45 +186,30 @@ def homology(cx: ChainComplex) -> HomologySummary:
         out = cx.boundary_matrix(r)
         if len(out) == 0:
             # no target: everything is a cycle
-            v = [[int(i == j) for j in range(nr)] for i in range(nr)]
+            v = vinv = int_identity(nr)
             rank_out = 0
         else:
             res = snf(out)
             rank_out = sum(1 for x in res.diagonal() if x != 0)
-            v = res.v
-        vinv = int_inverse_unimodular(v)
+            v, vinv = res.v, res.vinv
         s = nr - rank_out
         kernel_cols = [[v[i][rank_out + j] for j in range(s)] for i in range(nr)]
         if s == 0:
             degrees.append(DegreeHomology([], vinv, rank_out, [], [], []))
             continue
         # present the image of the next boundary in kernel coordinates
-        bnd_in = cx.boundary_matrix(r + 1)
-        ncols_in = cx.dim(r + 1)
-        mmat = [[0] * ncols_in for _ in range(s)]
-        if ncols_in:
-            kfrac = make_matrix(kernel_cols)
-            for j in range(ncols_in):
-                col = [bnd_in[i][j] for i in range(nr)]
-                sol = solve_rational(kfrac, col)
-                if sol is None:
-                    raise RuntimeError("image column outside the cycle lattice")
-                for i in range(s):
-                    x = sol[i]
-                    assert x.denominator == 1
-                    mmat[i][j] = int(x)
-        if ncols_in:
+        if cx.dim(r + 1):
+            mmat = _image_in_kernel_coords(vinv, rank_out, cx.boundary_matrix(r + 1))
             res2 = snf(mmat)
-            u2 = res2.u
+            u2, u2inv = res2.u, res2.uinv
             diag2 = res2.diagonal()
         else:
-            u2 = [[int(i == j) for j in range(s)] for i in range(s)]
+            u2 = u2inv = int_identity(s)
             diag2 = []
         orders = []
         for i in range(s):
             di = diag2[i] if i < len(diag2) else 0
             orders.append(di)
-        u2inv = int_inverse_unimodular(u2)
         # generator i lives in column i of K·U2^{-1}
         gens = []
         signs = []
@@ -373,5 +375,6 @@ def meet_product(poset: IntersectionPoset, k: int, l: int, c: IntChain, d: IntCh
     result = meet_chain(poset, c, d)
     floor = k + l - n
     for s in result:
-        assert min(poset.d[v] for v in s) >= floor, "semimodular bound violated"
+        if min(poset.d[v] for v in s) < floor:
+            raise RuntimeError(f"semimodular bound violated: {s} has a vertex below level {floor}")
     return result

@@ -109,8 +109,17 @@ def cmd_homology(arr, args):
     return 0
 
 
+def _check_member_index(arr, flag: str, index: int) -> None:
+    count = len(arr.subspaces)
+    if count == 0:
+        raise InputError(f"{flag} {index}: the arrangement has no members")
+    if not 0 <= index < count:
+        raise InputError(f"{flag} {index} is out of range: member indices are 0..{count - 1}")
+
+
 def cmd_ring(arr, args):
     if args.affine is not None:
+        _check_member_index(arr, "--affine", args.affine)
         table = affine_decompose(arr, args.affine)
         basis_doc = [
             {
@@ -161,6 +170,7 @@ def cmd_presentation(arr, args):
     if args.c is None:
         print("error: presentation requires --c", file=sys.stderr)
         return 2
+    _check_member_index(arr, "--base", args.base)
     try:
         pres = build_presentation(arr, args.c, args.base)
     except NotCArrangement as e:

@@ -203,64 +203,67 @@ def int_det(a) -> Fraction:
     return det
 
 
-def int_inverse_unimodular(a) -> list[list[int]]:
-    """Inverse of a unimodular integer matrix (integer entries)."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-         for i, row in enumerate(a)]
-    red = rref(make_matrix(m))
-    inv = [[red[i][n + j] for j in range(n)] for i in range(n)]
-    out = [[int(x) for x in row] for row in inv]
-    for row, frow in zip(out, inv):
-        for x, fx in zip(row, frow):
-            if x != fx:
-                raise ValueError("matrix is not unimodular")
-    return out
-
-
 @dataclass
 class SNFResult:
-    """U·A·V = D with U, V unimodular and D diagonal, d_1 | d_2 | ..."""
+    """U·A·V = D with U, V unimodular and D diagonal, d_1 | d_2 | ...;
+    uinv and vinv are the exact inverses of U and V."""
 
     u: list[list[int]]
     d: list[list[int]]
     v: list[list[int]]
+    uinv: list[list[int]]
+    vinv: list[list[int]]
 
     def diagonal(self) -> list[int]:
         return [self.d[i][i] for i in range(min(len(self.d), len(self.d[0]) if self.d else 0))]
 
 
 def snf(a) -> SNFResult:
-    """Smith normal form over Z, pivoting on minimal nonzero entries."""
+    """Smith normal form over Z, pivoting on minimal nonzero entries.
+
+    Every row step E applied to D and U is undone on the right of uinv
+    (uinv ← uinv·E⁻¹), and every column step F applied to D and V on the
+    left of vinv (vinv ← F⁻¹·vinv), so the inverses cost no elimination.
+    """
     m = len(a)
     n = len(a[0]) if m else 0
     d = [[int(x) for x in row] for row in a]
     u = int_identity(m)
     v = int_identity(n)
+    uinv = int_identity(m)
+    vinv = int_identity(n)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
         u[i], u[j] = u[j], u[i]
+        for row in uinv:
+            row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         for row in d:
             row[i], row[j] = row[j], row[i]
         for row in v:
             row[i], row[j] = row[j], row[i]
+        vinv[i], vinv[j] = vinv[j], vinv[i]
 
     def add_row(src, dst, f):
         d[dst] = [x + f * y for x, y in zip(d[dst], d[src])]
         u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
+        for row in uinv:
+            row[src] -= f * row[dst]
 
     def add_col(src, dst, f):
         for row in d:
             row[dst] += f * row[src]
         for row in v:
             row[dst] += f * row[src]
+        vinv[src] = [x - f * y for x, y in zip(vinv[src], vinv[dst])]
 
     def negate_row(i):
         d[i] = [-x for x in d[i]]
         u[i] = [-x for x in u[i]]
+        for row in uinv:
+            row[i] = -row[i]
 
     t = 0
     while t < min(m, n):
@@ -307,27 +310,4 @@ def snf(a) -> SNFResult:
         if d[t][t] < 0:
             negate_row(t)
         t += 1
-    return SNFResult(u, d, v)
-
-
-def solve_integer(a, b) -> list[int] | None:
-    """Integer solution x of a·x = b via SNF, or None if none exists."""
-    m = len(a)
-    n = len(a[0]) if m else 0
-    if m == 0:
-        return [0] * n
-    res = snf(a)
-    ub = int_matvec(res.u, [int(x) for x in b])
-    y = [0] * n
-    diag = res.diagonal()
-    for i in range(m):
-        di = diag[i] if i < len(diag) else 0
-        if di == 0:
-            if ub[i] != 0:
-                return None
-        else:
-            if ub[i] % di != 0:
-                return None
-            if i < n:
-                y[i] = ub[i] // di
-    return int_matvec(res.v, y)
+    return SNFResult(u, d, v, uinv, vinv)

@@ -227,6 +227,13 @@ class ChainMapData:
     matrices: list[list[list[int]]]  # per degree r: dim C^rel_r x dim D^k_r
 
 
+def _target_vector(relative: ChainComplex, chain, r: int) -> list[int]:
+    """Coordinates of chain in the degree-r basis of relative."""
+    if chain and relative.dim(r) == 0:
+        raise RuntimeError(f"chain map image outside the target complex in degree {r}")
+    return relative.vector(chain, r)
+
+
 def _chain_map_matrices(atomic: ChainComplex, relative: ChainComplex, image) -> list:
     mats = []
     for r in range(atomic.top_degree + 1):
@@ -234,12 +241,7 @@ def _chain_map_matrices(atomic: ChainComplex, relative: ChainComplex, image) -> 
         cols = atomic.dim(r)
         mat = [[0] * cols for _ in range(rows)]
         for j, simplex in enumerate(atomic.bases[r]):
-            chain = image(r, simplex)
-            if rows == 0:
-                assert not chain, "chain map image outside the target complex"
-                continue
-            vec = relative.vector(chain, r)
-            for i, val in enumerate(vec):
+            for i, val in enumerate(_target_vector(relative, image(r, simplex), r)):
                 mat[i][j] = val
         mats.append(mat)
     return mats
@@ -297,11 +299,7 @@ def homotopy_matrices(
                 if base_index in simplex:
                     continue  # degenerate cone simplex
                 chain = fk_chain(poset, arr, (base_index,) + simplex)
-                if rows == 0:
-                    assert not chain
-                    continue
-                vec = relative.vector(chain, r + 1)
-                for i, val in enumerate(vec):
+                for i, val in enumerate(_target_vector(relative, chain, r + 1)):
                     mat[i][j] = val
         mats.append(mat)
     return mats

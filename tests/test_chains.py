@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -19,6 +20,7 @@ from projarr.chains import (
     cross_shuffle,
     homology,
     meet_chain,
+    meet_product,
     meet_push,
     scale_chain,
 )
@@ -106,6 +108,52 @@ def test_synthetic_torsion():
     gen = summary.degree(0).generators[0]
     assert summary.degree(0).coordinatize(gen.vector) == [1]
     assert summary.degree(0).coordinatize([2]) == [0]  # 2x is a boundary
+
+
+def test_synthetic_torsion_in_proper_cycle_sublattice():
+    # ker d1 = <e1-e2, e2-e4, e3> is a proper sublattice of Z^4, and
+    # im d2 = <k1-k2, 3(k2+k3)> in that basis, so H_1 = Z/3 + Z
+    d1 = [[-1, -1, 0, -1], [1, 1, 0, 1]]
+    d2 = [[1, 0], [-2, 3], [0, 3], [1, -3]]
+    cx = ChainComplex(
+        [[(0,), (1,)], [(0, 1), (0, 2), (0, 3), (0, 4)], [(0, 1, 2), (0, 1, 3)]],
+        [[], d1, d2],
+    )
+    summary = homology(cx)
+    h1 = summary.degree(1)
+    assert h1.free_rank == 1 and h1.torsion == [3]
+    assert summary.degree(0).free_rank == 1 and summary.degree(0).torsion == []
+    assert summary.degree(2).generators == []
+    for i, gen in enumerate(h1.generators):
+        assert cx.apply_boundary(cx.chain(gen.vector, 1), 1) == {}
+        unit = [int(i == j) for j in range(len(h1.generators))]
+        assert h1.coordinatize(gen.vector) == unit
+    torsion_gen = next(g for g in h1.generators if g.order == 3)
+    assert h1.coordinatize([3 * x for x in torsion_gen.vector]) == [0, 0]
+    rng = random.Random(17)
+    for _ in range(20):
+        a, b = rng.randrange(-4, 5), rng.randrange(-4, 5)
+        boundary = [a * p + b * q for p, q in d2]
+        assert h1.coordinatize(boundary) == [0, 0]
+
+
+def test_homology_rejects_boundary_not_squaring_to_zero():
+    # d1·d2 = [[1]] != 0: the image of d2 is not made of cycles
+    cx = ChainComplex([[(0,)], [(0, 1), (0, 2)], [(0, 1, 2)]], [[], [[1, 0]], [[1], [0]]])
+    with pytest.raises(RuntimeError, match="outside the cycle lattice"):
+        homology(cx)
+
+
+def test_meet_product_checks_semimodular_bound():
+    poset = build_poset(skew_lines(2))
+    unit = {(poset.top,): 1}
+    n = poset.n
+    assert meet_product(poset, n, n, unit, unit) == unit
+    d = list(poset.d)
+    d[poset.top] = n - 1
+    broken = dataclasses.replace(poset, d=d)
+    with pytest.raises(RuntimeError, match="semimodular bound"):
+        meet_product(broken, n, n, unit, unit)
 
 
 def test_coordinatize_rejects_non_cycles():

@@ -117,3 +117,23 @@ def test_bad_input_exit_2(capsys, tmp_path):
     bad.write_text("{not json")
     assert main(["ring", str(bad)]) == 2
     assert main(["ring", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["ring", "--affine", "7", fixture("skew_lines3")], "--affine 7 is out of range: member indices are 0..2"),
+        (["ring", "--affine", "-1", fixture("boolean_cp2")], "--affine -1 is out of range: member indices are 0..2"),
+        (["ring", "--affine", "0", fixture("empty_cp3")], "--affine 0: the arrangement has no members"),
+        (["presentation", "--c", "2", "--base", "9", fixture("skew_lines3")],
+         "--base 9 is out of range: member indices are 0..2"),
+        (["presentation", "--c", "2", "--base", "-1", fixture("skew_lines3")],
+         "--base -1 is out of range: member indices are 0..2"),
+    ],
+    ids=["affine-too-large", "affine-negative", "affine-no-members", "base-too-large", "base-negative"],
+)
+def test_member_index_out_of_range_exit_2(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err

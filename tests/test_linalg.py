@@ -7,13 +7,11 @@ from projarr.linalg import (
     Subspace,
     int_det,
     int_identity,
-    int_inverse_unimodular,
     int_matmul,
     kernel,
     make_matrix,
     rref,
     snf,
-    solve_integer,
     solve_rational,
     subspace_intersection,
     subspace_sum,
@@ -98,10 +96,13 @@ def test_annihilator_dimensions():
 
 def _check_snf(a):
     res = snf(a)
-    rows, cols = len(a), len(a[0]) if a else 0
+    rows, cols = len(a), len(a[0])
     assert abs(int_det(res.u)) == 1
     assert abs(int_det(res.v)) == 1
+    assert int_matmul(res.u, res.uinv) == int_identity(rows)
+    assert int_matmul(res.v, res.vinv) == int_identity(cols)
     d = int_matmul(int_matmul(res.u, a), res.v)
+    assert d == res.d
     diag = res.diagonal()
     for i in range(rows):
         for j in range(cols):
@@ -129,16 +130,21 @@ def test_snf_random_matrices():
         _check_snf(a)
 
 
-def test_int_inverse_unimodular():
-    m = [[1, 2], [1, 3]]
-    inv = int_inverse_unimodular(m)
-    assert int_matmul(m, inv) == int_identity(2)
-
-
-def test_solve_integer():
-    a = [[2, 0], [0, 3]]
-    assert solve_integer(a, [4, 9]) == [2, 3]
-    assert solve_integer(a, [1, 0]) is None
+def test_snf_inverses_on_edge_shapes():
+    rng = random.Random(13)
+    for n in range(1, 7):
+        _check_snf([[rng.randrange(-6, 7) for _ in range(n)]])  # 1 x n
+        _check_snf([[rng.randrange(-6, 7)] for _ in range(n)])  # n x 1
+        _check_snf([[0] * n for _ in range(n + 1)])  # all zero
+    for _ in range(60):
+        # rank-deficient: product of an m x k and a k x n factor, k < min(m, n)
+        m, n = rng.randrange(2, 7), rng.randrange(2, 7)
+        k = rng.randrange(1, min(m, n))
+        left = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(m)]
+        right = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(k)]
+        a = int_matmul(left, right)
+        _check_snf(a)
+        assert sum(1 for x in snf(a).diagonal() if x) <= k
 
 
 def test_make_matrix_rejects_ragged():

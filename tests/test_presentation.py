@@ -12,11 +12,12 @@ from projarr import (
     verify_fk_iso,
     verify_presentation,
 )
-from projarr.chains import homology
+from projarr.chains import ChainComplex, homology
 from projarr.linalg import int_matmul
 from projarr.poset import build_poset, set_defect
 from projarr.presentation import (
     NotCArrangement,
+    _chain_map_matrices,
     atomic_complex,
     fk_chain_map,
     gk_chain_map,
@@ -152,6 +153,14 @@ def test_fk_gk_are_chain_maps():
                     else:
                         rhs = lhs
                     assert lhs == rhs
+
+
+def test_chain_map_image_outside_target_raises():
+    atomic = ChainComplex([[(0,)]], [[]])
+    empty_target = ChainComplex([[]], [[]])
+    assert _chain_map_matrices(atomic, empty_target, lambda r, s: {}) == [[]]
+    with pytest.raises(RuntimeError, match="outside the target complex"):
+        _chain_map_matrices(atomic, empty_target, lambda r, s: {(0,): 1})
 
 
 def test_gk_level():
