@@ -7,7 +7,7 @@ is then an exterior algebra on n degree-1 classes.
 Run with:  python3 demos/affine_tour.py
 """
 
-from projarr import Arrangement, Subspace, affine_decompose
+from projarr import Arrangement, Subspace, affine_decompose, build_poset
 
 n = 3
 subspaces = []
@@ -18,7 +18,7 @@ for i in range(n + 1):
     subspaces.append(Subspace.from_span(n + 1, rows))
 arr = Arrangement(n + 1, tuple(subspaces))
 
-table = affine_decompose(arr, infinity_index=0)
+table = affine_decompose(build_poset(arr), infinity_index=0)
 print(f"coordinate hyperplanes in CP^{n}, first one at infinity")
 print("Betti numbers:", table.poincare, f"(binomials of {n}, as for the torus)")
 

@@ -8,7 +8,10 @@ from projarr import (
     Arrangement,
     Subspace,
     build_poset,
+    build_presentation,
     compare,
+    decompose,
+    pi_context,
     ring_table,
     verify_presentation,
 )
@@ -30,7 +33,7 @@ for i, s in enumerate(poset.elements):
 print("(V on top, the two lines, and the empty intersection)")
 
 print("\n=== cohomology ring ===")
-table = ring_table(arr)
+table = ring_table(decompose(poset))
 print("Betti numbers:", table.poincare)
 print("torsion:", [b.torsion_order for b in table.basis if b.torsion_order] or "none")
 for i, b in enumerate(table.basis):
@@ -42,12 +45,12 @@ for (i, j), entry in sorted(table.products.items()):
         print(f"  e{i} * e{j} = {terms}")
 
 print("\n=== independent oracles ===")
-report = compare(arr)
+report = compare(table.decomposition)
 print("Euler characteristic: engine", report.euler_engine, "oracle", report.euler_oracle)
 print("all oracle checks passed:", report.passed)
 
 print("\n=== presentation (the lines form a 2-arrangement) ===")
-rep = verify_presentation(arr, c=2)
+rep = verify_presentation(pi_context(table, build_presentation(poset, c=2)))
 print("generators x (degree 2), y1 (degree 3); relation x^2 = 0")
 print("degree / monomial-image rank / quotient rank / engine rank:")
 for row in rep.degrees:

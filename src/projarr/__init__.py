@@ -9,16 +9,21 @@ from .arrangement import (
     hyperplane_section,
     parse_arrangement,
     serialize_arrangement,
-    union_arrangement,
 )
-from .linalg import Subspace, rref, snf, subspace_intersection, subspace_sum
-from .oracles import compare, mobius, os_poincare_projective, stratified_euler
+from .linalg import Subspace, rref, snf, subspace_intersection
+from .oracles import (
+    compare,
+    mobius,
+    os_poincare_central,
+    os_poincare_projective,
+    projective_quotient,
+    stratified_euler,
+)
 from .poset import (
     IntersectionPoset,
     build_poset,
     is_c_arrangement,
     minimal_dependent_sets,
-    poset_isomorphic,
     verify_eta,
 )
 from .presentation import (
@@ -55,20 +60,19 @@ __all__ = [
     "is_c_arrangement",
     "minimal_dependent_sets",
     "mobius",
+    "os_poincare_central",
     "os_poincare_projective",
     "parse_arrangement",
     "pi_context",
     "pi_image",
     "poincare_polynomial",
-    "poset_isomorphic",
+    "projective_quotient",
     "ring_table",
     "rref",
     "serialize_arrangement",
     "snf",
     "stratified_euler",
     "subspace_intersection",
-    "subspace_sum",
-    "union_arrangement",
     "verify_eta",
     "verify_fg_homotopic",
     "verify_fk_iso",

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .linalg import (
     AmbientMismatch,
@@ -23,6 +24,9 @@ from .linalg import (
     solve_rational,
     subspace_intersection,
 )
+
+if TYPE_CHECKING:
+    from .poset import IntersectionPoset
 
 
 class InputError(ValueError):
@@ -150,38 +154,46 @@ def serialize_arrangement(arr: Arrangement) -> str:
     return json.dumps(doc, indent=2)
 
 
-def intersection_closure(arr: Arrangement) -> set[Subspace]:
-    """All intersections of subfamilies of the arrangement, including V."""
-    full = Subspace.full(arr.ambient_dim)
-    closed = {full} | set(arr.subspaces)
-    frontier = set(arr.subspaces)
+def intersection_closure(arr: Arrangement) -> dict[Subspace, int]:
+    """All intersections of subfamilies of the arrangement, including V,
+    each mapped to the bitmask of the members containing it.
+
+    Every element other than V meets every member exactly once, when it
+    is on the frontier; q ∩ A_a == q is the containment test.
+    """
+    masks = {Subspace.full(arr.ambient_dim): 0}
+    masks.update((s, 0) for s in arr.subspaces)
+    frontier = list(arr.subspaces)
     while frontier:
-        new = set()
+        new = []
         for q in frontier:
-            for a in arr.subspaces:
-                meet = subspace_intersection(q, a)
-                if meet not in closed:
-                    new.add(meet)
-        closed |= new
+            for a, sub in enumerate(arr.subspaces):
+                meet = subspace_intersection(q, sub)
+                if meet == q:
+                    masks[q] |= 1 << a
+                elif meet not in masks:
+                    masks[meet] = 0
+                    new.append(meet)
         frontier = new
-    return closed
+    return masks
 
 
-def generic_hyperplane(arr: Arrangement, seed: int = 0) -> Hyperplane:
-    """A hyperplane whose functional vanishes on no nonzero intersection.
+def generic_hyperplane(poset: IntersectionPoset, seed: int = 0) -> Hyperplane:
+    """A hyperplane whose functional vanishes on no nonzero element of the
+    poset.
 
     Deterministic for a fixed seed; coefficient range grows per retry so
     termination is guaranteed (the bad set is a finite union of proper
     subspaces of the dual).
     """
-    avoid = [q for q in intersection_closure(arr) if q.dim >= 1]
+    avoid = [q for q in poset.elements if q.dim >= 1]
     rng = random.Random(seed)
     attempt = 0
     while True:
         attempt += 1
         bound = 10 * attempt
         coeffs = tuple(
-            Fraction(rng.randint(-bound, bound)) for _ in range(arr.ambient_dim)
+            Fraction(rng.randint(-bound, bound)) for _ in range(poset.arr.ambient_dim)
         )
         if all(x == 0 for x in coeffs):
             continue
@@ -215,16 +227,17 @@ def restrict_to_hyperplane(s: Subspace, h: Hyperplane, frame: Matrix | None = No
     return Subspace.from_span(len(frame), new_rows)
 
 
-def hyperplane_section(arr: Arrangement, h: Hyperplane) -> Arrangement:
+def hyperplane_section(poset: IntersectionPoset, h: Hyperplane) -> Arrangement:
     """The induced arrangement {A ∩ H} inside H, in new coordinates.
 
-    Requires h generic: no member (nor any intersection) may lie in H.
+    Requires h generic: no nonzero element of the poset may lie in H.
     Members whose section is the zero space (lines) are dropped, since
     their projectivization is empty.
     """
+    arr = poset.arr
     if h.ambient_dim != arr.ambient_dim:
         raise AmbientMismatch("hyperplane ambient dimension mismatch")
-    for q in intersection_closure(arr):
+    for q in poset.elements:
         if q.dim >= 1 and h.vanishes_on(q):
             raise GenericityError("hyperplane contains an intersection subspace")
     frame = section_coordinates(h)
@@ -239,14 +252,3 @@ def hyperplane_section(arr: Arrangement, h: Hyperplane) -> Arrangement:
             names.append(name)
     return Arrangement(arr.ambient_dim - 1, tuple(sections), tuple(names))
 
-
-def union_arrangement(a: Arrangement, b: Arrangement) -> Arrangement:
-    if a.ambient_dim != b.ambient_dim:
-        raise AmbientMismatch("ambient dimensions differ")
-    subspaces = list(a.subspaces)
-    names = list(a.names)
-    for s, name in zip(b.subspaces, b.names):
-        if s not in subspaces:
-            subspaces.append(s)
-            names.append(name)
-    return Arrangement(a.ambient_dim, tuple(subspaces), tuple(names))

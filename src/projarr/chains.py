@@ -26,10 +26,6 @@ def add_chains(a: IntChain, b: IntChain, factor: int = 1) -> IntChain:
     return out
 
 
-def scale_chain(a: IntChain, factor: int) -> IntChain:
-    return {s: factor * c for s, c in a.items()} if factor else {}
-
-
 class NotACycle(ValueError):
     """Passed chain has nonzero relative boundary."""
 

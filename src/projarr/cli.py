@@ -12,15 +12,21 @@ import json
 import sys
 
 from .arrangement import InputError, parse_arrangement
-from .oracles import compare, os_poincare_projective, stratified_euler, OracleError
+from .oracles import (
+    OracleError,
+    compare,
+    os_poincare_central,
+    projective_quotient,
+    stratified_euler,
+)
 from .poset import build_poset, verify_eta
 from .presentation import (
     NotCArrangement,
     build_presentation,
-    graded_ranks,
+    pi_context,
     verify_presentation,
 )
-from .ring import affine_decompose, ring_table, verify_ring_axioms
+from .ring import affine_decompose, decompose, ring_table, verify_ring_axioms
 
 
 def _read_input(path: str | None) -> str:
@@ -82,9 +88,7 @@ def cmd_poset(arr, args):
 
 
 def cmd_homology(arr, args):
-    from .ring import decompose
-
-    dec = decompose(arr)
+    dec = decompose(build_poset(arr))
     doc = []
     for k in range(dec.n + 1):
         summary = dec.summaries[k]
@@ -120,7 +124,7 @@ def _check_member_index(arr, flag: str, index: int) -> None:
 def cmd_ring(arr, args):
     if args.affine is not None:
         _check_member_index(arr, "--affine", args.affine)
-        table = affine_decompose(arr, args.affine)
+        table = affine_decompose(build_poset(arr), args.affine)
         basis_doc = [
             {
                 "id": i,
@@ -132,7 +136,7 @@ def cmd_ring(arr, args):
             for i, b in enumerate(table.basis)
         ]
     else:
-        table = ring_table(arr)
+        table = ring_table(decompose(build_poset(arr)))
         basis_doc = [
             {
                 "id": i,
@@ -171,13 +175,15 @@ def cmd_presentation(arr, args):
         print("error: presentation requires --c", file=sys.stderr)
         return 2
     _check_member_index(arr, "--base", args.base)
+    if args.max_degree is not None and args.max_degree < 0:
+        raise InputError(f"--max-degree {args.max_degree} must be at least 0")
+    poset = build_poset(arr)
     try:
-        pres = build_presentation(arr, args.c, args.base)
+        pres = build_presentation(poset, args.c, args.base)
     except NotCArrangement as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    max_degree = args.max_degree if args.max_degree is not None else 2 * arr.n
-    report = verify_presentation(arr, args.c, args.base, max_degree)
+    report = verify_presentation(pi_context(ring_table(decompose(poset)), pres), args.max_degree)
     doc = {
         "c": pres.c,
         "generators": ["x"] + [f"y{i}" for i in range(1, pres.t + 1)],
@@ -202,15 +208,14 @@ def cmd_presentation(arr, args):
 
 
 def cmd_verify(arr, args):
-    failures = []
-    oracle_report = compare(arr)
-    failures += oracle_report.failures
-    table = ring_table(arr)
+    poset = build_poset(arr)
+    table = ring_table(decompose(poset))
+    oracle_report = compare(table.decomposition)
     axiom_report = verify_ring_axioms(table)
-    failures += axiom_report.failures
+    failures = oracle_report.failures + axiom_report.failures
     eta_results = []
     for seed in range(args.seed, args.seed + 3):
-        rep = verify_eta(arr, seed)
+        rep = verify_eta(poset, seed)
         eta_results.append({"seed": seed, "passed": rep.passed, "detail": rep.detail})
         if not rep.passed:
             failures.append(f"section check failed for seed {seed}: {rep.detail}")
@@ -231,7 +236,7 @@ def cmd_oracle(arr, args):
     poset = build_poset(arr)
     doc = {"euler": stratified_euler(poset)}
     try:
-        doc["os_projective"] = os_poincare_projective(arr)
+        doc["os_projective"] = projective_quotient(os_poincare_central(poset))
     except OracleError:
         doc["os_projective"] = None
     _emit(doc, args.format)

@@ -154,12 +154,6 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     return Subspace(a.ambient_dim, rref(kernel(make_matrix(functionals), a.ambient_dim)))
 
 
-def subspace_sum(a: Subspace, b: Subspace) -> Subspace:
-    if a.ambient_dim != b.ambient_dim:
-        raise AmbientMismatch("ambient dimensions differ")
-    return Subspace(a.ambient_dim, rref(a.basis + b.basis))
-
-
 # ---------------------------------------------------------------------------
 # integer matrices and Smith normal form
 

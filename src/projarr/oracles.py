@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .arrangement import Arrangement
 from .poset import IntersectionPoset, build_poset
-from .ring import poincare_polynomial
+from .ring import Decomposition, poincare_polynomial
 
 
 @dataclass
@@ -51,13 +51,12 @@ class OracleError(ValueError):
     pass
 
 
-def os_poincare_central(arr: Arrangement) -> list[int]:
+def os_poincare_central(poset: IntersectionPoset) -> list[int]:
     """Poincaré polynomial of the central hyperplane complement in C^{n+1}
     via Σ |μ(V, q)| t^codim(q)."""
-    n = arr.n
-    if any(s.dim - 1 != n - 1 for s in arr.subspaces):
+    n = poset.n
+    if any(s.dim - 1 != n - 1 for s in poset.arr.subspaces):
         raise OracleError("oracle applies to hyperplane arrangements only")
-    poset = build_poset(arr)
     table = mobius(poset)
     coeffs = [0] * (n + 2)
     for q in range(len(poset.elements)):
@@ -69,9 +68,14 @@ def os_poincare_central(arr: Arrangement) -> list[int]:
 
 
 def os_poincare_projective(arr: Arrangement) -> list[int]:
+    """The projective hyperplane complement's Poincaré polynomial, for a
+    caller holding only the arrangement."""
+    return projective_quotient(os_poincare_central(build_poset(arr)))
+
+
+def projective_quotient(central: list[int]) -> list[int]:
     """Projective complement: the central polynomial divided by (1 + t);
     the division must be exact (the complement splits off a C* factor)."""
-    central = os_poincare_central(arr)
     quotient = []
     rem = 0
     for c in central:
@@ -112,10 +116,11 @@ class OracleReport:
     failures: list[str] = field(default_factory=list)
 
 
-def compare(arr: Arrangement) -> OracleReport:
+def compare(dec: Decomposition) -> OracleReport:
     """Run every applicable oracle against the engine's Betti numbers."""
-    poset = build_poset(arr)
-    poincare = poincare_polynomial(arr)
+    poset = dec.poset
+    arr = poset.arr
+    poincare = poincare_polynomial(dec)
     euler_engine = sum((-1) ** i * c for i, c in enumerate(poincare))
     euler_oracle = stratified_euler(poset)
     failures = []
@@ -123,7 +128,7 @@ def compare(arr: Arrangement) -> OracleReport:
         failures.append(f"Euler mismatch: engine {euler_engine}, oracle {euler_oracle}")
     os_poly = None
     if arr.subspaces and all(s.dim - 1 == arr.n - 1 for s in arr.subspaces):
-        os_poly = os_poincare_projective(arr)
+        os_poly = projective_quotient(os_poincare_central(poset))
         trimmed = list(poincare)
         while trimmed and trimmed[-1] == 0:
             trimmed.pop()

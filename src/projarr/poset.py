@@ -1,4 +1,4 @@
-"""Intersection posets: meet structure, intervals, dependence combinatorics.
+"""Intersection posets: meet structure, dependence combinatorics, sections.
 
 The poset Q of an arrangement consists of all intersections of
 subfamilies (including the empty intersection V), ordered by inclusion
@@ -21,7 +21,7 @@ from .arrangement import (
     restrict_to_hyperplane,
     section_coordinates,
 )
-from .linalg import Subspace, subspace_intersection
+from .linalg import Subspace
 
 
 @dataclass
@@ -31,7 +31,10 @@ class IntersectionPoset:
     d: list[int]
     leq: list[list[bool]]  # leq[i][j] iff elements[i] ⊆ elements[j]
     meet: list[list[int]]  # index of elements[i] ∩ elements[j]
-    witnesses: list[tuple[int, ...]]  # member indices realizing each element
+    masks: list[int]  # bit a set iff member a contains the element
+
+    def __post_init__(self):
+        self._index = {s: i for i, s in enumerate(self.elements)}
 
     @property
     def n(self) -> int:
@@ -43,13 +46,10 @@ class IntersectionPoset:
         return 0
 
     def index_of(self, s: Subspace) -> int:
-        return self.elements.index(s)
-
-    def interval(self, lo: int, hi: int, hi_closed: bool = True) -> list[int]:
-        """Indices of {u : lo <= d(u) < hi} (or <= hi when hi_closed)."""
-        if hi_closed:
-            return [i for i, di in enumerate(self.d) if lo <= di <= hi]
-        return [i for i, di in enumerate(self.d) if lo <= di < hi]
+        try:
+            return self._index[s]
+        except KeyError:
+            raise ValueError("subspace is not an element of the poset") from None
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with elements[i] < elements[j] a cover relation."""
@@ -72,34 +72,25 @@ def _sort_key(s: Subspace):
 
 
 def build_poset(arr: Arrangement) -> IntersectionPoset:
-    closed = intersection_closure(arr)
-    elements = sorted(closed, key=_sort_key)
+    """The poset from the closure's member masks, with no further linear
+    algebra.  Each element is the intersection of the members containing
+    it, so u ⊆ v iff mask(v) ⊆ mask(u), and u ∩ v is the largest element
+    whose mask contains mask(u) | mask(v)."""
+    closure = intersection_closure(arr)
+    elements = sorted(closure, key=_sort_key)
     d = [s.dim - 1 for s in elements]
+    masks = [closure[s] for s in elements]
     m = len(elements)
-    leq = [[elements[j].contains(elements[i]) for j in range(m)] for i in range(m)]
-    index = {s: i for i, s in enumerate(elements)}
+    leq = [[mj & ~mi == 0 for mj in masks] for mi in masks]
     meet = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i, m):
-            if leq[i][j]:
-                mij = i
-            elif leq[j][i]:
-                mij = j
-            else:
-                mij = index[subspace_intersection(elements[i], elements[j])]
-            meet[i][j] = meet[j][i] = mij
-    # witness subfamilies: V gets the empty family, everything else the
-    # set of members containing it (recomputing their intersection
-    # reproduces the element)
-    witnesses = []
-    for i, s in enumerate(elements):
-        if d[i] == arr.n:
-            witnesses.append(())
-        else:
-            witnesses.append(
-                tuple(a for a, sub in enumerate(arr.subspaces) if sub.contains(s))
-            )
-    return IntersectionPoset(arr, elements, d, leq, meet, witnesses)
+            union = masks[i] | masks[j]
+            # elements are sorted by descending dimension and the meet lies
+            # in both, so the first mask containing the union is the meet
+            w = next(w for w in range(j, m) if masks[w] & union == union)
+            meet[i][j] = meet[j][i] = w
+    return IntersectionPoset(arr, elements, d, leq, meet, masks)
 
 
 @dataclass(frozen=True)
@@ -123,11 +114,9 @@ def set_defect(poset: IntersectionPoset, indices) -> int:
     return total - (n - poset.d[_meet_of_members(poset, indices)])
 
 
-def minimal_dependent_sets(arr: Arrangement, poset: IntersectionPoset | None = None) -> list[DependentSet]:
+def minimal_dependent_sets(poset: IntersectionPoset) -> list[DependentSet]:
     """Inclusion-minimal dependent subfamilies, by increasing size."""
-    if poset is None:
-        poset = build_poset(arr)
-    t = len(arr.subspaces)
+    t = len(poset.arr.subspaces)
     found: list[DependentSet] = []
     for size in range(1, t + 1):
         for combo in combinations(range(t), size):
@@ -140,67 +129,15 @@ def minimal_dependent_sets(arr: Arrangement, poset: IntersectionPoset | None = N
     return found
 
 
-def is_c_arrangement(arr: Arrangement, c: int, poset: IntersectionPoset | None = None) -> bool:
+def is_c_arrangement(poset: IntersectionPoset, c: int) -> bool:
     """Every member has projective codimension c and every intersection's
     codimension is a multiple of c (codimension reading)."""
     if c <= 0:
         raise ValueError("c must be positive")
-    n = arr.n
-    if any(n - (s.dim - 1) != c for s in arr.subspaces):
+    n = poset.n
+    if any(n - (s.dim - 1) != c for s in poset.arr.subspaces):
         return False
-    if poset is None:
-        poset = build_poset(arr)
     return all((n - di) % c == 0 for di in poset.d)
-
-
-def poset_isomorphic(p: IntersectionPoset, q: IntersectionPoset) -> bool:
-    """Existence of a bijection preserving order and d."""
-    return _find_isomorphism(p, q) is not None
-
-
-def _profile(poset: IntersectionPoset, i: int):
-    below = sorted(poset.d[j] for j in range(len(poset.d)) if poset.leq[j][i] and j != i)
-    above = sorted(poset.d[j] for j in range(len(poset.d)) if poset.leq[i][j] and j != i)
-    return (poset.d[i], tuple(below), tuple(above))
-
-
-def _find_isomorphism(p: IntersectionPoset, q: IntersectionPoset):
-    if len(p.elements) != len(q.elements):
-        return None
-    pprof = [_profile(p, i) for i in range(len(p.elements))]
-    qprof = [_profile(q, i) for i in range(len(q.elements))]
-    if sorted(pprof) != sorted(qprof):
-        return None
-    m = len(p.elements)
-    candidates = [[j for j in range(m) if qprof[j] == pprof[i]] for i in range(m)]
-    order = sorted(range(m), key=lambda i: len(candidates[i]))
-    mapping = [-1] * m
-    used = [False] * m
-
-    def consistent(i, j):
-        for i2 in order:
-            j2 = mapping[i2]
-            if j2 < 0:
-                continue
-            if p.leq[i][i2] != q.leq[j][j2] or p.leq[i2][i] != q.leq[j2][j]:
-                return False
-        return True
-
-    def backtrack(pos):
-        if pos == m:
-            return True
-        i = order[pos]
-        for j in candidates[i]:
-            if not used[j] and consistent(i, j):
-                mapping[i] = j
-                used[j] = True
-                if backtrack(pos + 1):
-                    return True
-                mapping[i] = -1
-                used[j] = False
-        return False
-
-    return list(mapping) if backtrack(0) else None
 
 
 @dataclass
@@ -209,15 +146,14 @@ class EtaReport:
     detail: str = ""
 
 
-def verify_eta(arr: Arrangement, seed: int = 0) -> EtaReport:
+def verify_eta(poset: IntersectionPoset, seed: int = 0) -> EtaReport:
     """Check that a generic section induces q ↦ q∩H, an order- and
     meet-respecting bijection Q_(0,n] → Q^H_[0,n-1] dropping d by one."""
     try:
-        h = generic_hyperplane(arr, seed)
-        sectioned = hyperplane_section(arr, h)
+        h = generic_hyperplane(poset, seed)
+        sectioned = hyperplane_section(poset, h)
     except GenericityError as e:
         return EtaReport(False, f"genericity failure: {e}")
-    poset = build_poset(arr)
     sposet = build_poset(sectioned)
     frame = section_coordinates(h)
     upper = [i for i in range(len(poset.elements)) if poset.d[i] >= 1]
@@ -230,7 +166,7 @@ def verify_eta(arr: Arrangement, seed: int = 0) -> EtaReport:
             images[i] = sposet.index_of(img)
         except ValueError:
             return EtaReport(False, f"image of element {i} missing from sectioned poset")
-    target = set(sposet.interval(0, sposet.n))
+    target = {i for i, di in enumerate(sposet.d) if di >= 0}
     if set(images.values()) != target or len(set(images.values())) != len(images):
         return EtaReport(False, "not a bijection onto Q^H_[0,n-1]")
     for i in upper:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 
-from .arrangement import Arrangement
 from .chains import (
     ChainComplex,
     HomologySummary,
@@ -26,8 +25,8 @@ from .chains import (
     meet_chain,
 )
 from .linalg import int_det, int_matmul, make_matrix, rref
-from .poset import IntersectionPoset, build_poset, is_c_arrangement, minimal_dependent_sets
-from .ring import RingElement, RingTable, ring_table
+from .poset import IntersectionPoset, is_c_arrangement, minimal_dependent_sets
+from .ring import RingElement, RingTable
 
 Monomial = tuple[int, tuple[int, ...]]  # (x power, sorted y indices)
 Polynomial = dict[Monomial, int]
@@ -92,10 +91,10 @@ class Presentation:
         return sorted(out)
 
 
-def build_presentation(arr: Arrangement, c: int, base_index: int = 0) -> Presentation:
-    poset = build_poset(arr)
-    if not is_c_arrangement(arr, c, poset):
+def build_presentation(poset: IntersectionPoset, c: int, base_index: int = 0) -> Presentation:
+    if not is_c_arrangement(poset, c):
         raise NotCArrangement(f"not a {c}-arrangement")
+    arr = poset.arr
     if not arr.subspaces:
         raise ValueError("presentation needs at least one member")
     members = [i for i in range(len(arr.subspaces)) if i != base_index]
@@ -103,7 +102,7 @@ def build_presentation(arr: Arrangement, c: int, base_index: int = 0) -> Present
     y_of_member = {m: j for j, m in member_of_y.items()}
     relations: list[Polynomial] = []
     kinds: list[str] = []
-    for dep in minimal_dependent_sets(arr, poset):
+    for dep in minimal_dependent_sets(poset):
         if base_index in dep.indices:
             ys = tuple(sorted(y_of_member[i] for i in dep.indices if i != base_index))
             relations.append({(0, ys): 1})
@@ -160,17 +159,15 @@ def graded_ranks(p: Presentation, max_degree: int) -> list[int]:
 # atomic complex and the chain maps into the relative complex
 
 
-def atomic_complex(arr: Arrangement, k: int, poset: IntersectionPoset | None = None) -> ChainComplex:
+def atomic_complex(poset: IntersectionPoset, k: int) -> ChainComplex:
     """The shifted reduced chain complex D^k of the atomic complex S_k:
     degree r holds the r-subsets I of the members with d(∩I) >= k,
     degree 0 the empty simplex."""
-    if poset is None:
-        poset = build_poset(arr)
     if not 0 <= k <= poset.n:
         raise ValueError("level k out of range")
-    member_ids = [poset.index_of(s) for s in arr.subspaces]
+    member_ids = [poset.index_of(s) for s in poset.arr.subspaces]
     bases: list[list[tuple]] = [[()]]
-    t = len(arr.subspaces)
+    t = len(member_ids)
     for size in range(1, t + 1):
         level = []
         for combo in combinations(range(t), size):
@@ -197,25 +194,23 @@ def atomic_complex(arr: Arrangement, k: int, poset: IntersectionPoset | None = N
     return ChainComplex(bases, boundaries)
 
 
-def _alpha(poset: IntersectionPoset, arr: Arrangement, member: int) -> IntChain:
-    return {(poset.index_of(arr.subspaces[member]), poset.top): 1}
+def _alpha(poset: IntersectionPoset, member: int) -> IntChain:
+    return {(poset.index_of(poset.arr.subspaces[member]), poset.top): 1}
 
 
-def fk_chain(poset: IntersectionPoset, arr: Arrangement, simplex: tuple[int, ...]) -> IntChain:
+def fk_chain(poset: IntersectionPoset, simplex: tuple[int, ...]) -> IntChain:
     """Iterated meet product of the 1-chains [A_i, V]; empty product = [V]."""
     chain: IntChain = {(poset.top,): 1}
     for member in simplex:
-        chain = meet_chain(poset, chain, _alpha(poset, arr, member))
+        chain = meet_chain(poset, chain, _alpha(poset, member))
     return chain
 
 
-def gk_chain(
-    poset: IntersectionPoset, arr: Arrangement, base_index: int, simplex: tuple[int, ...]
-) -> IntChain:
+def gk_chain(poset: IntersectionPoset, base_index: int, simplex: tuple[int, ...]) -> IntChain:
     chain: IntChain = {(poset.top,): 1}
-    base = _alpha(poset, arr, base_index)
+    base = _alpha(poset, base_index)
     for member in simplex:
-        factor = add_chains(_alpha(poset, arr, member), base, -1)
+        factor = add_chains(_alpha(poset, member), base, -1)
         chain = meet_chain(poset, chain, factor)
     return chain
 
@@ -247,14 +242,10 @@ def _chain_map_matrices(atomic: ChainComplex, relative: ChainComplex, image) -> 
     return mats
 
 
-def fk_chain_map(arr: Arrangement, k: int, poset: IntersectionPoset | None = None) -> ChainMapData:
-    if poset is None:
-        poset = build_poset(arr)
-    atomic = atomic_complex(arr, k, poset)
+def fk_chain_map(poset: IntersectionPoset, k: int) -> ChainMapData:
+    atomic = atomic_complex(poset, k)
     relative = build_relative_complex(poset, k)
-    mats = _chain_map_matrices(
-        atomic, relative, lambda r, s: fk_chain(poset, arr, s)
-    )
+    mats = _chain_map_matrices(atomic, relative, lambda r, s: fk_chain(poset, s))
     return ChainMapData(atomic, relative, mats)
 
 
@@ -263,28 +254,24 @@ def gk_level(n: int, c: int, k: int) -> int:
     return (n - k) // c
 
 
-def gk_chain_map(
-    arr: Arrangement, c: int, base_index: int, k: int, poset: IntersectionPoset | None = None
-) -> ChainMapData:
-    if poset is None:
-        poset = build_poset(arr)
-    if not is_c_arrangement(arr, c, poset):
+def gk_chain_map(poset: IntersectionPoset, c: int, base_index: int, k: int) -> ChainMapData:
+    if not is_c_arrangement(poset, c):
         raise NotCArrangement(f"not a {c}-arrangement")
-    atomic = atomic_complex(arr, k, poset)
+    atomic = atomic_complex(poset, k)
     relative = build_relative_complex(poset, k)
     a = gk_level(poset.n, c, k)
 
     def image(r, simplex):
         if r != a:
             return {}
-        return gk_chain(poset, arr, base_index, simplex)
+        return gk_chain(poset, base_index, simplex)
 
     mats = _chain_map_matrices(atomic, relative, image)
     return ChainMapData(atomic, relative, mats)
 
 
 def homotopy_matrices(
-    arr: Arrangement, c: int, base_index: int, k: int, poset: IntersectionPoset,
+    poset: IntersectionPoset, c: int, base_index: int, k: int,
     atomic: ChainComplex, relative: ChainComplex,
 ) -> list[list[list[int]]]:
     """K: D^k_r -> C^rel_{r+1}, the cone over the base member below level a."""
@@ -298,7 +285,7 @@ def homotopy_matrices(
             for j, simplex in enumerate(atomic.bases[r]):
                 if base_index in simplex:
                     continue  # degenerate cone simplex
-                chain = fk_chain(poset, arr, (base_index,) + simplex)
+                chain = fk_chain(poset, (base_index,) + simplex)
                 for i, val in enumerate(_target_vector(relative, chain, r + 1)):
                     mat[i][j] = val
         mats.append(mat)
@@ -323,12 +310,10 @@ class VerificationReport:
     detail: str = ""
 
 
-def verify_fk_iso(arr: Arrangement, k: int, poset: IntersectionPoset | None = None) -> VerificationReport:
+def verify_fk_iso(poset: IntersectionPoset, k: int) -> VerificationReport:
     """Check that the atomic-complex comparison map induces an isomorphism
     on homology in every degree."""
-    if poset is None:
-        poset = build_poset(arr)
-    data = fk_chain_map(arr, k, poset)
+    data = fk_chain_map(poset, k)
     if not _is_chain_map(data):
         return VerificationReport(False, "comparison map does not commute with boundaries")
     h_at = homology(data.atomic)
@@ -363,17 +348,13 @@ def verify_fk_iso(arr: Arrangement, k: int, poset: IntersectionPoset | None = No
     return VerificationReport(True)
 
 
-def verify_fg_homotopic(
-    arr: Arrangement, c: int, base_index: int, k: int, poset: IntersectionPoset | None = None
-) -> VerificationReport:
+def verify_fg_homotopic(poset: IntersectionPoset, c: int, base_index: int, k: int) -> VerificationReport:
     """Matrix identity f - g = K∂ + ∂K plus class-level agreement."""
-    if poset is None:
-        poset = build_poset(arr)
-    fdata = fk_chain_map(arr, k, poset)
-    gdata = gk_chain_map(arr, c, base_index, k, poset)
+    fdata = fk_chain_map(poset, k)
+    gdata = gk_chain_map(poset, c, base_index, k)
     if not _is_chain_map(fdata) or not _is_chain_map(gdata):
         return VerificationReport(False, "maps do not commute with boundaries")
-    kmats = homotopy_matrices(arr, c, base_index, k, poset, fdata.atomic, fdata.relative)
+    kmats = homotopy_matrices(poset, c, base_index, k, fdata.atomic, fdata.relative)
     atomic, relative = fdata.atomic, fdata.relative
     for r in range(atomic.top_degree + 1):
         rows = relative.dim(r)
@@ -415,7 +396,6 @@ def verify_fg_homotopic(
 
 @dataclass
 class PiContext:
-    arr: Arrangement
     presentation: Presentation
     table: RingTable
     x_image: RingElement
@@ -433,23 +413,24 @@ def _element_from_class(table: RingTable, k: int, r: int, coords) -> RingElement
     return {ids[i]: c for i, c in enumerate(coords) if c}
 
 
-def pi_context(arr: Arrangement, c: int, base_index: int = 0) -> PiContext:
-    pres = build_presentation(arr, c, base_index)
-    table = ring_table(arr)
+def pi_context(table: RingTable, pres: Presentation) -> PiContext:
+    """The images of x and the y_i in the engine's ring table."""
     dec = table.decomposition
     poset = dec.poset
+    arr = poset.arr
+    c = pres.c
     n = poset.n
     top = poset.top
     x_coords = dec.summaries[n - 1].class_of({(top,): 1}, 0)
     x_image = _element_from_class(table, n - 1, 0, x_coords)
     y_images = {}
-    base_id = poset.index_of(arr.subspaces[base_index])
+    base_id = poset.index_of(arr.subspaces[pres.base_index])
     for yi, member in pres.member_of_y.items():
         mid = poset.index_of(arr.subspaces[member])
         chain = {(mid, top): 1, (base_id, top): -1}
         coords = dec.summaries[n - c].class_of(chain, 1)
         y_images[yi] = _element_from_class(table, n - c, 1, coords)
-    return PiContext(arr, pres, table, x_image, y_images)
+    return PiContext(pres, table, x_image, y_images)
 
 
 def pi_image(ctx: PiContext, monomial: Monomial) -> RingElement:
@@ -479,13 +460,10 @@ class PresentationReport:
     detail: str = ""
 
 
-def verify_presentation(
-    arr: Arrangement, c: int, base_index: int = 0, max_degree: int | None = None
-) -> PresentationReport:
+def verify_presentation(ctx: PiContext, max_degree: int | None = None) -> PresentationReport:
     """Thm-level verification: π kills every relation, and per degree the
     rational rank of the π-image of the monomial span equals both the
     R/I rank and the engine's free rank."""
-    ctx = pi_context(arr, c, base_index)
     n = ctx.table.n
     if max_degree is None:
         max_degree = 2 * n

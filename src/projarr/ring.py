@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .arrangement import Arrangement
 from .chains import (
     ChainComplex,
     HomologySummary,
@@ -23,7 +22,7 @@ from .chains import (
     meet_product,
     meet_push,
 )
-from .poset import IntersectionPoset, build_poset
+from .poset import IntersectionPoset
 
 
 @dataclass(frozen=True)
@@ -48,9 +47,7 @@ class Decomposition:
         return self.poset.n
 
 
-def decompose(arr: Arrangement, poset: IntersectionPoset | None = None) -> Decomposition:
-    if poset is None:
-        poset = build_poset(arr)
+def decompose(poset: IntersectionPoset) -> Decomposition:
     complexes = [build_relative_complex(poset, k) for k in range(poset.n + 1)]
     summaries = [homology(cx) for cx in complexes]
     return Decomposition(poset, complexes, summaries)
@@ -131,8 +128,7 @@ def _basis_product(dec, basis, ids_by_kr, a: RingBasisElement, b: RingBasisEleme
     return out
 
 
-def ring_table(arr: Arrangement, poset: IntersectionPoset | None = None) -> RingTable:
-    dec = decompose(arr, poset)
+def ring_table(dec: Decomposition) -> RingTable:
     n = dec.n
     basis = _enumerate_basis(dec)
     ids_by_kr: dict[tuple[int, int], list[int]] = {}
@@ -155,9 +151,8 @@ def ring_table(arr: Arrangement, poset: IntersectionPoset | None = None) -> Ring
     return table
 
 
-def poincare_polynomial(arr: Arrangement) -> list[int]:
+def poincare_polynomial(dec: Decomposition) -> list[int]:
     """Free rank of H^i, i = 0..2n, as a coefficient list."""
-    dec = decompose(arr)
     n = dec.n
     out = [0] * (2 * n + 1)
     for k in range(n + 1):
@@ -249,17 +244,16 @@ class AffineTable:
         return out
 
 
-def affine_decompose(arr: Arrangement, infinity_index: int) -> AffineTable:
+def affine_decompose(poset: IntersectionPoset, infinity_index: int) -> AffineTable:
     """The cohomology ring of the affine complement with A_0 at infinity.
 
     Summands are indexed by the affine poset Q' (intersections not inside
     A_0); the summand at u is the homology of the pair
     (Δ[u,V], Δ[u,V) ∪ Δ(u,V]) shifted into degree 2n - 2 d(u) - m.
     """
-    a0_sub = arr.subspaces[infinity_index]
-    if a0_sub.dim - 1 != arr.n - 1:
+    a0_sub = poset.arr.subspaces[infinity_index]
+    if a0_sub.dim - 1 != poset.n - 1:
         raise ValueError("infinity_index must name a hyperplane")
-    poset = build_poset(arr)
     a0 = poset.index_of(a0_sub)
     qprime = [i for i in range(len(poset.elements)) if not poset.leq[i][a0]]
     n = poset.n

@@ -19,7 +19,10 @@ from arrangements import (
 )
 from projarr import (
     affine_decompose,
+    build_presentation,
+    decompose,
     os_poincare_projective,
+    pi_context,
     poincare_polynomial,
     ring_table,
     stratified_euler,
@@ -32,6 +35,10 @@ from projarr import (
 from projarr.chains import cross_shuffle, meet_push, build_relative_complex, homology
 from projarr.linalg import int_det, int_matmul, snf
 from projarr.poset import build_poset
+
+def ring_of(arr):
+    return ring_table(decompose(build_poset(arr)))
+
 
 ALL_FIXTURES = [
     ("empty CP^2", empty(2)),
@@ -79,7 +86,7 @@ def test_criterion_01_empty_ring_is_truncated_polynomial():
     ok = True
     detail = ""
     for n in range(1, 5):
-        table = ring_table(empty(n))
+        table = ring_of(empty(n))
         if table.poincare != [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]:
             ok, detail = False, f"Betti vector wrong for n={n}"
             break
@@ -100,7 +107,7 @@ def test_criterion_02_hyperplane_oracle():
     detail = ""
     assert len(HYPERPLANE_FIXTURES) >= 5
     for name, arr in HYPERPLANE_FIXTURES:
-        engine = poincare_polynomial(arr)
+        engine = poincare_polynomial(decompose(build_poset(arr)))
         while engine and engine[-1] == 0:
             engine.pop()
         oracle = os_poincare_projective(arr)
@@ -114,7 +121,7 @@ def test_criterion_03_euler_oracle():
     ok = True
     detail = ""
     for name, arr in ALL_FIXTURES:
-        betti = poincare_polynomial(arr)
+        betti = poincare_polynomial(decompose(build_poset(arr)))
         engine = sum((-1) ** i * c for i, c in enumerate(betti))
         oracle = stratified_euler(build_poset(arr))
         if engine != oracle:
@@ -125,7 +132,7 @@ def test_criterion_03_euler_oracle():
 
 def test_criterion_04_crossing_pairs_vanishing_product():
     arr = crossed_pairs()
-    table = ring_table(arr)
+    table = ring_of(arr)
     dec = table.decomposition
     poset = dec.poset
     top = poset.top
@@ -158,7 +165,9 @@ def test_criterion_05_presentation_verification():
     ok = True
     detail = ""
     for name, arr, c in C_FIXTURES:
-        rep = verify_presentation(arr, c, 0, 2 * arr.n)
+        poset = build_poset(arr)
+        ctx = pi_context(ring_table(decompose(poset)), build_presentation(poset, c, 0))
+        rep = verify_presentation(ctx, 2 * arr.n)
         if not rep.passed or rep.torsion_flag:
             ok, detail = False, f"{name}: {rep.degrees}, torsion={rep.torsion_flag}"
             break
@@ -171,8 +180,8 @@ def test_criterion_06_comparison_maps():
     for name, arr, c in C_FIXTURES:
         poset = build_poset(arr)
         for k in range(arr.n + 1):
-            r1 = verify_fk_iso(arr, k, poset)
-            r2 = verify_fg_homotopic(arr, c, 0, k, poset)
+            r1 = verify_fk_iso(poset, k)
+            r2 = verify_fg_homotopic(poset, c, 0, k)
             if not (r1.passed and r2.passed):
                 ok = False
                 detail = f"{name} k={k}: {r1.detail or r2.detail}"
@@ -188,8 +197,9 @@ def test_criterion_07_generic_section_property():
     for name, arr in ALL_FIXTURES:
         if arr.n == 0:
             continue
+        poset = build_poset(arr)
         for seed in range(10):
-            rep = verify_eta(arr, seed)
+            rep = verify_eta(poset, seed)
             if not rep.passed:
                 ok, detail = False, f"{name} seed {seed}: {rep.detail}"
                 break
@@ -202,13 +212,13 @@ def test_criterion_08_ring_axioms_and_negative_control():
     ok = True
     detail = ""
     for name, arr in ALL_FIXTURES:
-        table = ring_table(arr)
+        table = ring_of(arr)
         rep = verify_ring_axioms(table)
         if not rep.passed:
             ok, detail = False, f"{name}: {rep.failures[:2]}"
             break
     if ok:
-        table = ring_table(skew_lines(2))
+        table = ring_of(skew_lines(2))
         rng = random.Random(0)
         key = rng.choice([k for k, entry in sorted(table.products.items()) if entry])
         table.products[key] = {t: c + 1 for t, c in table.products[key].items()}
@@ -310,7 +320,7 @@ def test_criterion_10_affine_mode():
     ok = True
     detail = ""
     for m in (2, 3, 5):
-        table = affine_decompose(points_cp1(m), 0)
+        table = affine_decompose(build_poset(points_cp1(m)), 0)
         if table.poincare[:2] != [1, m - 1] or any(table.poincare[2:]):
             ok, detail = False, f"{m} points: ranks {table.poincare}"
             break
@@ -322,7 +332,7 @@ def test_criterion_10_affine_mode():
             break
     if ok:
         for n in (2, 3):
-            table = affine_decompose(boolean(n), 0)
+            table = affine_decompose(build_poset(boolean(n)), 0)
             if table.poincare[: n + 1] != [comb(n, i) for i in range(n + 1)]:
                 ok, detail = False, f"torus rank mismatch n={n}"
                 break

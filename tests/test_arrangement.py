@@ -12,9 +12,9 @@ from projarr import (
     hyperplane_section,
     parse_arrangement,
     serialize_arrangement,
-    union_arrangement,
 )
 from projarr.arrangement import GenericityError, intersection_closure
+from projarr.poset import build_poset
 
 
 def test_parse_serialize_round_trip():
@@ -87,46 +87,39 @@ def test_closure_has_no_equal_elements_under_different_bases():
 
 
 def test_generic_hyperplane_deterministic_and_generic():
-    arr = skew_lines(3)
-    h1 = generic_hyperplane(arr, seed=5)
-    h2 = generic_hyperplane(arr, seed=5)
+    poset = build_poset(skew_lines(3))
+    h1 = generic_hyperplane(poset, seed=5)
+    h2 = generic_hyperplane(poset, seed=5)
     assert h1 == h2
-    for q in intersection_closure(arr):
+    for q in poset.elements:
         if q.dim >= 1:
             assert not h1.vanishes_on(q)
 
 
 def test_hyperplane_section_drops_dimension():
-    arr = skew_lines(2)
-    h = generic_hyperplane(arr, seed=0)
-    sec = hyperplane_section(arr, h)
+    poset = build_poset(skew_lines(2))
+    h = generic_hyperplane(poset, seed=0)
+    sec = hyperplane_section(poset, h)
     assert sec.ambient_dim == 3
     # lines become points
     assert all(s.dim == 1 for s in sec.subspaces)
 
 
 def test_hyperplane_section_drops_empty_sections():
-    arr = points_cp1(3)  # points have no section
-    h = generic_hyperplane(arr, seed=0)
-    sec = hyperplane_section(arr, h)
+    poset = build_poset(points_cp1(3))  # points have no section
+    h = generic_hyperplane(poset, seed=0)
+    sec = hyperplane_section(poset, h)
     assert sec.ambient_dim == 1
     assert sec.subspaces == ()
 
 
 def test_non_generic_hyperplane_rejected():
-    arr = skew_lines(2)
+    poset = build_poset(skew_lines(2))
     # x_0 = 0 contains the second line span{e2, e3}? no — but x_3 = 0 meets
     # it in a line; use a functional vanishing on the first line instead
     h = Hyperplane((0, 0, 1, 0))  # vanishes on span{e0, e1}
     with pytest.raises(GenericityError):
-        hyperplane_section(arr, h)
-
-
-def test_union_arrangement_dedupes():
-    a = skew_lines(2)
-    b = skew_lines(3)
-    u = union_arrangement(a, b)
-    assert len(u.subspaces) == 3
+        hyperplane_section(poset, h)
 
 
 def test_empty_arrangement_allowed():

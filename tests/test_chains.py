@@ -22,7 +22,6 @@ from projarr.chains import (
     meet_chain,
     meet_product,
     meet_push,
-    scale_chain,
 )
 from projarr.linalg import int_matmul
 from projarr.poset import build_poset
@@ -56,8 +55,6 @@ def test_chain_arithmetic():
     a = {(1, 2): 1}
     b = {(1, 2): -1, (2, 3): 2}
     assert add_chains(a, b) == {(2, 3): 2}
-    assert scale_chain(b, 0) == {}
-    assert scale_chain(b, -1) == {(1, 2): 1, (2, 3): -2}
 
 
 def test_boundary_squares_to_zero_everywhere():

@@ -137,3 +137,14 @@ def test_member_index_out_of_range_exit_2(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err
+
+
+def test_negative_max_degree_exit_2(capsys):
+    # a negative bound would compare no degree and report a vacuous pass
+    assert main(["presentation", "--c", "2", "--max-degree", "-3", fixture("skew_lines")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--max-degree -3 must be at least 0" in captured.err
+    code, out = run(capsys, "presentation", "--c", "2", "--max-degree", "0", fixture("skew_lines"))
+    assert code == 0
+    assert [r["degree"] for r in json.loads(out)["ranks"]] == [0]

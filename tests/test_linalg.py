@@ -14,7 +14,6 @@ from projarr.linalg import (
     snf,
     solve_rational,
     subspace_intersection,
-    subspace_sum,
 )
 
 
@@ -81,7 +80,6 @@ def test_subspace_contains_and_dims():
     assert not line.contains(plane)
     assert Subspace.full(3).dim == 3
     assert Subspace.zero(3).dim == 0
-    assert subspace_sum(line, plane) == plane
     assert subspace_intersection(line, plane) == line
 
 

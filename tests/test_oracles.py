@@ -10,6 +10,7 @@ from arrangements import (
 from projarr import compare, mobius, os_poincare_projective, stratified_euler
 from projarr.oracles import OracleError, os_poincare_central
 from projarr.poset import build_poset
+from projarr.ring import decompose
 
 import pytest
 
@@ -46,10 +47,10 @@ def test_mobius_recursion_identity():
 
 def test_os_central_closed_forms():
     # three points in CP^1: (1+t)(1+2t)
-    assert os_poincare_central(points_cp1(3)) == [1, 3, 2]
+    assert os_poincare_central(build_poset(points_cp1(3))) == [1, 3, 2]
     # Boolean: (1+t)^{n+1}
-    assert os_poincare_central(boolean(2)) == [1, 3, 3, 1]
-    assert os_poincare_central(boolean(3)) == [1, 4, 6, 4, 1]
+    assert os_poincare_central(build_poset(boolean(2))) == [1, 3, 3, 1]
+    assert os_poincare_central(build_poset(boolean(3))) == [1, 4, 6, 4, 1]
 
 
 def test_os_projective_closed_forms():
@@ -91,5 +92,5 @@ def test_compare_all_fixtures():
         mixed(),
     ]
     for arr in fixtures:
-        report = compare(arr)
+        report = compare(decompose(build_poset(arr)))
         assert report.passed, report.failures

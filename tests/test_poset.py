@@ -1,4 +1,7 @@
+import pathlib
 from itertools import combinations
+
+import pytest
 
 from arrangements import (
     boolean,
@@ -8,9 +11,21 @@ from arrangements import (
     mixed,
     points_cp1,
     skew_lines,
+    span,
 )
-from projarr import build_poset, is_c_arrangement, minimal_dependent_sets, poset_isomorphic, verify_eta
+from projarr import (
+    Arrangement,
+    Subspace,
+    build_poset,
+    is_c_arrangement,
+    minimal_dependent_sets,
+    parse_arrangement,
+    subspace_intersection,
+    verify_eta,
+)
 from projarr.poset import set_defect
+
+FIXTURE_DIR = pathlib.Path(__file__).parent.parent / "fixtures"
 
 ALL_FIXTURES = [
     empty(2),
@@ -79,21 +94,20 @@ def test_covers_of_points_fixture():
 
 
 def test_minimal_dependent_sets_points():
-    arr = points_cp1(4)
-    deps = minimal_dependent_sets(arr)
+    deps = minimal_dependent_sets(build_poset(points_cp1(4)))
     # pairs of points are independent; every triple is minimally dependent
     assert sorted(d.indices for d in deps) == sorted(combinations(range(4), 3))
     assert all(d.defect == 1 for d in deps)
 
 
 def test_minimal_dependent_sets_boolean_empty():
-    assert minimal_dependent_sets(boolean(2)) == []
-    assert minimal_dependent_sets(boolean(3)) == []
+    assert minimal_dependent_sets(build_poset(boolean(2))) == []
+    assert minimal_dependent_sets(build_poset(boolean(3))) == []
 
 
 def test_minimal_dependent_sets_skew_lines():
-    assert minimal_dependent_sets(skew_lines(2)) == []
-    deps = minimal_dependent_sets(skew_lines(3))
+    assert minimal_dependent_sets(build_poset(skew_lines(2))) == []
+    deps = minimal_dependent_sets(build_poset(skew_lines(3)))
     assert [d.indices for d in deps] == [(0, 1, 2)]
 
 
@@ -105,35 +119,77 @@ def test_set_defect():
 
 
 def test_is_c_arrangement():
-    assert is_c_arrangement(points_cp1(3), 1)
-    assert is_c_arrangement(boolean(3), 1)
-    assert is_c_arrangement(skew_lines(2), 2)
-    assert is_c_arrangement(skew_lines(3), 2)
-    assert not is_c_arrangement(skew_lines(2), 3)
-    assert not is_c_arrangement(mixed(), 1)  # members of unequal codimension
+    assert is_c_arrangement(build_poset(points_cp1(3)), 1)
+    assert is_c_arrangement(build_poset(boolean(3)), 1)
+    assert is_c_arrangement(build_poset(skew_lines(2)), 2)
+    assert is_c_arrangement(build_poset(skew_lines(3)), 2)
+    assert not is_c_arrangement(build_poset(skew_lines(2)), 3)
+    assert not is_c_arrangement(build_poset(mixed()), 1)  # members of unequal codimension
     # crossed pairs: lines have codim 2 but crossing points codim 3
-    assert not is_c_arrangement(crossed_pairs(), 2)
-
-
-def test_poset_isomorphic_positive_and_negative():
-    p = build_poset(skew_lines(2))
-    q = build_poset(
-        # the same combinatorics in different coordinates
-        type(skew_lines(2))(
-            4,
-            (
-                skew_lines(3).subspaces[2],
-                skew_lines(2).subspaces[1],
-            ),
-        )
-    )
-    assert poset_isomorphic(p, q)
-    assert not poset_isomorphic(p, build_poset(skew_lines(3)))
-    assert not poset_isomorphic(p, build_poset(mixed()))
+    assert not is_c_arrangement(build_poset(crossed_pairs()), 2)
 
 
 def test_verify_eta_across_seeds():
     for arr in [points_cp1(3), boolean(2), skew_lines(2), crossed_pairs(), mixed()]:
         for seed in range(3):
-            report = verify_eta(arr, seed)
+            report = verify_eta(build_poset(arr), seed)
             assert report.passed, report.detail
+
+
+def concurrent_lines() -> Arrangement:
+    """Three lines in CP^2 through one point: every pair meets in it."""
+    p = (0, 0, 1)
+    return Arrangement(3, (span(3, p, (1, 0, 0)), span(3, p, (0, 1, 0)), span(3, p, (1, 1, 0))))
+
+
+def point_on_line() -> Arrangement:
+    """A point of CP^2 lying on a line: one member inside another."""
+    return Arrangement(3, (span(3, (1, 0, 0), (0, 1, 0)), span(3, (1, 1, 0))))
+
+
+REFERENCE_CASES = [
+    *((path.stem, parse_arrangement(path.read_text())) for path in sorted(FIXTURE_DIR.glob("*.json"))),
+    ("empty(2)", empty(2)),
+    ("points_cp1(5)", points_cp1(5)),
+    ("boolean(3)", boolean(3)),
+    ("boolean(4)", boolean(4)),
+    ("generic_hyperplanes(2,4)", generic_hyperplanes(2, 4)),
+    ("generic_hyperplanes(3,6)", generic_hyperplanes(3, 6)),
+    ("skew_lines(3)", skew_lines(3)),
+    ("crossed_pairs", crossed_pairs()),
+    ("mixed", mixed()),
+    ("concurrent_lines", concurrent_lines()),
+    ("point_on_line", point_on_line()),
+]
+
+
+@pytest.mark.parametrize("arr", [arr for _, arr in REFERENCE_CASES], ids=[name for name, _ in REFERENCE_CASES])
+def test_mask_poset_matches_linear_algebra(arr):
+    # the mask-derived order and meet against containment and intersection
+    # computed by row reduction
+    p = build_poset(arr)
+    m = len(p.elements)
+    for i, u in enumerate(p.elements):
+        assert p.masks[i] == sum(1 << a for a, s in enumerate(arr.subspaces) if s.contains(u)), i
+        for j, v in enumerate(p.elements):
+            assert p.leq[i][j] == v.contains(u), (i, j)
+            assert p.meet[i][j] == p.index_of(subspace_intersection(u, v)), (i, j)
+    assert len(set(p.masks)) == m
+
+
+def test_non_generic_posets():
+    p = build_poset(concurrent_lines())
+    assert p.d == [2, 1, 1, 1, 0]  # V, three lines, the common point
+    assert all(p.meet[i][j] == 4 for i in (1, 2, 3) for j in (1, 2, 3) if i != j)
+    p = build_poset(point_on_line())
+    assert p.d == [2, 1, 0]  # V, the line, the point (their meet)
+    assert p.leq[2][1] and not p.leq[1][2]
+
+
+def test_index_of_rejects_a_subspace_outside_the_poset():
+    p = build_poset(skew_lines(2))
+    assert p.index_of(skew_lines(2).subspaces[1]) in range(len(p.elements))
+    with pytest.raises(ValueError):
+        p.index_of(skew_lines(3).subspaces[2])
+    with pytest.raises(ValueError):
+        p.index_of(Subspace.full(3))

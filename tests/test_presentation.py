@@ -15,6 +15,7 @@ from projarr import (
 from projarr.chains import ChainComplex, homology
 from projarr.linalg import int_matmul
 from projarr.poset import build_poset, set_defect
+from projarr.ring import decompose, ring_table
 from projarr.presentation import (
     NotCArrangement,
     _chain_map_matrices,
@@ -26,6 +27,11 @@ from projarr.presentation import (
     pi_polynomial,
     poly_mul_monomial,
 )
+
+def context(arr, c, base_index=0):
+    poset = build_poset(arr)
+    return pi_context(ring_table(decompose(poset)), build_presentation(poset, c, base_index))
+
 
 C_FIXTURES = [
     (points_cp1(2), 1),
@@ -54,14 +60,14 @@ def test_poly_mul_monomial_signs():
 
 def test_presentation_relations_points():
     # 3 points: the single dependent triple passes through the base
-    pres = build_presentation(points_cp1(3), 1, 0)
+    pres = build_presentation(build_poset(points_cp1(3)), 1, 0)
     assert pres.t == 2
     assert list(zip(pres.relation_kinds, pres.relations)) == [
         ("through-base", {(0, (1, 2)): 1}),
         ("x-power", {(1, ()): 1}),
     ]
     # 4 points: the triple avoiding the base contributes an alternating sum
-    pres = build_presentation(points_cp1(4), 1, 0)
+    pres = build_presentation(build_poset(points_cp1(4)), 1, 0)
     sums = [
         rel for rel, kind in zip(pres.relations, pres.relation_kinds)
         if kind == "boundary-sum"
@@ -71,7 +77,7 @@ def test_presentation_relations_points():
 
 
 def test_presentation_relations_skew3():
-    pres = build_presentation(skew_lines(3), 2, 0)
+    pres = build_presentation(build_poset(skew_lines(3)), 2, 0)
     assert pres.t == 2
     assert list(zip(pres.relation_kinds, pres.relations)) == [
         ("through-base", {(0, (1, 2)): 1}),
@@ -81,20 +87,20 @@ def test_presentation_relations_skew3():
 
 def test_presentation_requires_c_arrangement():
     with pytest.raises(NotCArrangement):
-        build_presentation(mixed(), 1)
+        build_presentation(build_poset(mixed()), 1)
     with pytest.raises(NotCArrangement):
-        build_presentation(skew_lines(2), 1)
+        build_presentation(build_poset(skew_lines(2)), 1)
 
 
 def test_graded_ranks_closed_forms():
     # m points in CP^1, c = 1: ranks (1, m-1)
     for m in (2, 3, 5):
-        pres = build_presentation(points_cp1(m), 1, 0)
+        pres = build_presentation(build_poset(points_cp1(m)), 1, 0)
         assert graded_ranks(pres, 2) == [1, m - 1, 0]
     # skew lines, c = 2: Betti pattern of the engine
-    pres = build_presentation(skew_lines(2), 2, 0)
+    pres = build_presentation(build_poset(skew_lines(2)), 2, 0)
     assert graded_ranks(pres, 6) == [1, 0, 1, 1, 0, 1, 0]
-    pres = build_presentation(skew_lines(3), 2, 0)
+    pres = build_presentation(build_poset(skew_lines(3)), 2, 0)
     assert graded_ranks(pres, 6) == [1, 0, 1, 2, 0, 2, 0]
 
 
@@ -103,7 +109,7 @@ def test_dependent_monomials_vanish_in_quotient():
     # in the quotient: check rank drop by adjoining it as a relation
     for arr, c in C_FIXTURES:
         poset = build_poset(arr)
-        pres = build_presentation(arr, c, 0)
+        pres = build_presentation(poset, c, 0)
         y_of_member = {m: y for y, m in pres.member_of_y.items()}
         t = len(arr.subspaces)
         for size in range(2, min(t, 4) + 1):
@@ -125,13 +131,13 @@ def test_dependent_monomials_vanish_in_quotient():
 def test_atomic_complex_shape():
     arr = boolean(2)
     poset = build_poset(arr)
-    cx = atomic_complex(arr, 0, poset)
+    cx = atomic_complex(poset, 0)
     assert cx.bases[0] == [()]
     assert len(cx.bases[1]) == 3
     assert len(cx.bases[2]) == 3
     # the full triple meets in the zero space, d = -1 < 0
     assert cx.top_degree == 2
-    cx1 = atomic_complex(arr, 1, poset)
+    cx1 = atomic_complex(poset, 1)
     assert cx1.top_degree == 1
 
 
@@ -139,8 +145,8 @@ def test_fk_gk_are_chain_maps():
     for arr, c in C_FIXTURES:
         poset = build_poset(arr)
         for k in range(arr.n + 1):
-            fdata = fk_chain_map(arr, k, poset)
-            gdata = gk_chain_map(arr, c, 0, k, poset)
+            fdata = fk_chain_map(poset, k)
+            gdata = gk_chain_map(poset, c, 0, k)
             for r in range(1, fdata.atomic.top_degree + 1):
                 for data in (fdata, gdata):
                     lhs = int_matmul(
@@ -174,7 +180,7 @@ def test_verify_fk_iso_all_levels():
     for arr, _ in C_FIXTURES:
         poset = build_poset(arr)
         for k in range(arr.n + 1):
-            report = verify_fk_iso(arr, k, poset)
+            report = verify_fk_iso(poset, k)
             assert report.passed, (arr.names, k, report.detail)
 
 
@@ -182,7 +188,7 @@ def test_verify_fg_homotopic_all_levels():
     for arr, c in C_FIXTURES:
         poset = build_poset(arr)
         for k in range(arr.n + 1):
-            report = verify_fg_homotopic(arr, c, 0, k, poset)
+            report = verify_fg_homotopic(poset, c, 0, k)
             assert report.passed, (arr.names, k, report.detail)
 
 
@@ -192,7 +198,7 @@ def test_atomic_homology_matches_engine_ranks():
     arr = skew_lines(3)
     poset = build_poset(arr)
     for k in range(arr.n + 1):
-        data = fk_chain_map(arr, k, poset)
+        data = fk_chain_map(poset, k)
         h_at = homology(data.atomic)
         h_rel = homology(data.relative)
         top = max(data.atomic.top_degree, data.relative.top_degree)
@@ -202,7 +208,7 @@ def test_atomic_homology_matches_engine_ranks():
 
 def test_pi_kills_relations_and_x_power():
     for arr, c in C_FIXTURES:
-        ctx = pi_context(arr, c, 0)
+        ctx = context(arr, c)
         assert pi_image(ctx, (c, ())) == {}
         for rel in ctx.presentation.relations:
             assert pi_polynomial(ctx, rel) == {}
@@ -211,7 +217,7 @@ def test_pi_kills_relations_and_x_power():
 def test_pi_degree_bookkeeping():
     arr = skew_lines(2)
     c = 2
-    ctx = pi_context(arr, c, 0)
+    ctx = context(arr, c)
     for mono in [(0, ()), (1, ()), (0, (1,)), (1, (1,))]:
         img = pi_image(ctx, mono)
         degree = 2 * mono[0] + (2 * c - 1) * len(mono[1])
@@ -220,7 +226,7 @@ def test_pi_degree_bookkeeping():
 
 
 def test_pi_x_y_product_spans_top_class():
-    ctx = pi_context(skew_lines(2), 2, 0)
+    ctx = context(skew_lines(2), 2)
     img = pi_image(ctx, (1, (1,)))
     (five,) = [
         i for i, b in enumerate(ctx.table.basis)
@@ -231,7 +237,7 @@ def test_pi_x_y_product_spans_top_class():
 
 def test_verify_presentation_all_fixtures():
     for arr, c in C_FIXTURES:
-        report = verify_presentation(arr, c, 0, 2 * arr.n)
+        report = verify_presentation(context(arr, c), 2 * arr.n)
         assert report.passed, (arr.names, report.degrees)
         assert not report.torsion_flag
         for degree, pi_rank, ri_rank, engine_rank in report.degrees:
@@ -239,5 +245,5 @@ def test_verify_presentation_all_fixtures():
 
 
 def test_verify_presentation_nonzero_base():
-    report = verify_presentation(points_cp1(3), 1, base_index=1)
+    report = verify_presentation(context(points_cp1(3), 1, base_index=1))
     assert report.passed

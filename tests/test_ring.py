@@ -11,11 +11,17 @@ from arrangements import (
 )
 from projarr import (
     affine_decompose,
+    build_poset,
     decompose,
     poincare_polynomial,
     ring_table,
     verify_ring_axioms,
 )
+
+
+def ring_of(arr):
+    return ring_table(decompose(build_poset(arr)))
+
 
 EXPECTED_POINCARE = {
     "empty2": (empty(2), [1, 0, 1, 0, 1]),
@@ -34,18 +40,18 @@ EXPECTED_POINCARE = {
 
 def test_poincare_polynomials():
     for name, (arr, expected) in EXPECTED_POINCARE.items():
-        assert poincare_polynomial(arr) == expected, name
+        assert poincare_polynomial(decompose(build_poset(arr))) == expected, name
 
 
 def test_no_torsion_on_fixtures():
     for name, (arr, _) in EXPECTED_POINCARE.items():
-        table = ring_table(arr)
+        table = ring_of(arr)
         assert all(b.torsion_order == 0 for b in table.basis), name
 
 
 def test_decompose_degree_bookkeeping():
     arr = skew_lines(2)
-    dec = decompose(arr)
+    dec = decompose(build_poset(arr))
     n = dec.n
     for k in range(n + 1):
         for r, dh in enumerate(dec.summaries[k].degrees):
@@ -55,7 +61,7 @@ def test_decompose_degree_bookkeeping():
 
 def test_empty_ring_is_truncated_polynomial():
     for n in range(1, 5):
-        table = ring_table(empty(n))
+        table = ring_of(empty(n))
         assert table.poincare == [1 if i % 2 == 0 else 0 for i in range(2 * n + 1)]
         # one basis element per even degree; the degree-2 class generates
         ids = {b.degree: i for i, b in enumerate(table.basis)}
@@ -69,12 +75,12 @@ def test_empty_ring_is_truncated_polynomial():
 
 def test_ring_axioms_all_fixtures():
     for name, (arr, _) in EXPECTED_POINCARE.items():
-        report = verify_ring_axioms(ring_table(arr))
+        report = verify_ring_axioms(ring_of(arr))
         assert report.passed, (name, report.failures[:3])
 
 
 def test_corrupted_table_fails_axioms():
-    table = ring_table(skew_lines(2))
+    table = ring_of(skew_lines(2))
     # break one product entry
     key = next(k for k, v in table.products.items() if v)
     broken = dict(table.products)
@@ -84,7 +90,7 @@ def test_corrupted_table_fails_axioms():
 
 
 def test_skew_lines_products():
-    table = ring_table(skew_lines(2))
+    table = ring_of(skew_lines(2))
     by_degree = {}
     for i, b in enumerate(table.basis):
         by_degree.setdefault(b.degree, []).append(i)
@@ -98,15 +104,15 @@ def test_skew_lines_products():
 
 
 def test_products_determinism():
-    a = ring_table(crossed_pairs())
-    b = ring_table(crossed_pairs())
+    a = ring_of(crossed_pairs())
+    b = ring_of(crossed_pairs())
     assert a.products == b.products
     assert a.basis == b.basis
 
 
 def test_affine_points():
     for m in (2, 3, 5):
-        table = affine_decompose(points_cp1(m), 0)
+        table = affine_decompose(build_poset(points_cp1(m)), 0)
         assert table.poincare[: 2] == [1, m - 1]
         assert all(x == 0 for x in table.poincare[2:])
         # all products of positive-degree classes vanish
@@ -117,7 +123,7 @@ def test_affine_points():
 
 def test_affine_boolean_torus():
     for n in (2, 3):
-        table = affine_decompose(boolean(n), 0)
+        table = affine_decompose(build_poset(boolean(n)), 0)
         assert table.poincare[: n + 1] == [comb(n, i) for i in range(n + 1)]
         assert all(x == 0 for x in table.poincare[n + 1 :])
         # degree-1 classes generate an exterior algebra: products of
@@ -138,4 +144,4 @@ def test_affine_requires_hyperplane_at_infinity():
     import pytest
 
     with pytest.raises(ValueError):
-        affine_decompose(skew_lines(2), 0)
+        affine_decompose(build_poset(skew_lines(2)), 0)

@@ -1,0 +1,66 @@
+"""Each pipeline stage runs once per CLI command.
+
+Calls are counted by code object through `sys.setprofile`, so a stage
+reached through an alias (`from .poset import build_poset`) or a wrapper
+is still counted.
+"""
+
+import os
+import sys
+
+import pytest
+
+from projarr.arrangement import intersection_closure
+from projarr.cli import main
+from projarr.poset import build_poset
+from projarr.ring import decompose
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+STAGES = (build_poset, intersection_closure, decompose)
+
+
+def stage_counts(argv):
+    """Exit code and (build_poset, intersection_closure, decompose) calls."""
+    codes = {f.__code__: i for i, f in enumerate(STAGES)}
+    counts = [0] * len(STAGES)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code in codes:
+            counts[codes[frame.f_code]] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        code = main(argv)
+    finally:
+        sys.setprofile(previous)
+    return code, tuple(counts)
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (["ring", "boolean_cp2"], (1, 1, 1)),
+        (["homology", "boolean_cp2"], (1, 1, 1)),
+        (["ring", "--affine", "0", "boolean_cp2"], (1, 1, 0)),
+        (["poset", "boolean_cp2"], (1, 1, 0)),
+        (["oracle", "boolean_cp2"], (1, 1, 0)),
+        (["presentation", "--c", "1", "boolean_cp2"], (1, 1, 1)),
+        (["presentation", "--c", "2", "skew_lines"], (1, 1, 1)),
+        # one poset for the ring and one per sectioned arrangement (3 seeds)
+        (["verify", "boolean_cp2"], (4, 4, 1)),
+        (["verify", "skew_lines"], (4, 4, 1)),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_each_stage_runs_once_per_command(capsys, argv, expected):
+    *flags, name = argv
+    code, counts = stage_counts(flags + [os.path.join(FIXTURES, name + ".json")])
+    assert code == 0
+    assert counts == expected
+
+
+def test_non_c_arrangement_rejected_before_homology(capsys):
+    code, counts = stage_counts(["presentation", "--c", "2", os.path.join(FIXTURES, "boolean_cp2.json")])
+    assert code == 2
+    assert counts == (1, 1, 0)
