@@ -12,18 +12,10 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .linalg import (
-    AmbientMismatch,
-    Matrix,
-    Subspace,
-    kernel,
-    make_matrix,
-    rref,
-    solve_rational,
-    subspace_intersection,
-)
+from .linalg import AmbientMismatch, Subspace, subspace_intersection
 
 if TYPE_CHECKING:
     from .poset import IntersectionPoset
@@ -87,9 +79,10 @@ class Hyperplane:
             sum(f * x for f, x in zip(self.functional, row)) == 0 for row in s.basis
         )
 
+    @cached_property
     def kernel_subspace(self) -> Subspace:
-        rows = kernel(make_matrix([self.functional]), self.ambient_dim)
-        return Subspace(self.ambient_dim, rref(rows))
+        """ker(h), computed once per hyperplane."""
+        return Subspace.from_equations(self.ambient_dim, [self.functional])
 
 
 def _parse_rational(x) -> Fraction:
@@ -103,6 +96,8 @@ def _parse_subspace(entry, ambient_dim: int) -> tuple[Subspace, str | None]:
     if not isinstance(entry, dict):
         raise InputError("subspace entry must be an object")
     name = entry.get("name")
+    if name is not None and not isinstance(name, str):
+        raise InputError("subspace name must be a string")
     keys = {"span", "equations"} & set(entry)
     if len(keys) != 1:
         raise InputError("subspace needs exactly one of 'span' or 'equations'")
@@ -154,26 +149,40 @@ def serialize_arrangement(arr: Arrangement) -> str:
     return json.dumps(doc, indent=2)
 
 
+def _inside(q: Subspace, a: Subspace) -> bool:
+    """q ⊆ a: every equation of a vanishes on q's basis."""
+    return all(sum(e * x for e, x in zip(eq, v)) == 0 for eq in a.annihilator for v in q.basis)
+
+
 def intersection_closure(arr: Arrangement) -> dict[Subspace, int]:
     """All intersections of subfamilies of the arrangement, including V,
     each mapped to the bitmask of the members containing it.
 
-    Every element other than V meets every member exactly once, when it
-    is on the frontier; q ∩ A_a == q is the containment test.
+    A new element q ∩ A_a starts from the mask of q plus a, all members
+    known to contain it.  Each frontier element is tested against every
+    other member by evaluating the member's equations on its basis, and
+    intersected only with the members that do not contain it.
     """
     masks = {Subspace.full(arr.ambient_dim): 0}
-    masks.update((s, 0) for s in arr.subspaces)
+    masks.update((s, 1 << a) for a, s in enumerate(arr.subspaces))
     frontier = list(arr.subspaces)
     while frontier:
         new = []
         for q in frontier:
+            mask = masks[q]
             for a, sub in enumerate(arr.subspaces):
+                bit = 1 << a
+                if mask & bit:
+                    continue
+                if _inside(q, sub):
+                    mask |= bit
+                    continue
                 meet = subspace_intersection(q, sub)
-                if meet == q:
-                    masks[q] |= 1 << a
-                elif meet not in masks:
-                    masks[meet] = 0
+                known = masks.get(meet)
+                if known is None:
                     new.append(meet)
+                masks[meet] = (known or 0) | mask | bit
+            masks[q] = mask
         frontier = new
     return masks
 
@@ -206,25 +215,21 @@ class GenericityError(ValueError):
     """The supplied hyperplane is not generic for the arrangement."""
 
 
-def section_coordinates(h: Hyperplane) -> Matrix:
-    """Rows forming a rational basis of ker(h); the new coordinate frame."""
-    return kernel(make_matrix([h.functional]), h.ambient_dim)
+def restrict_to_hyperplane(s: Subspace, h: Hyperplane) -> Subspace:
+    """s ∩ ker(h), re-coordinatized to the (ambient_dim - 1)-frame of ker(h).
 
-
-def restrict_to_hyperplane(s: Subspace, h: Hyperplane, frame: Matrix | None = None) -> Subspace:
-    """s ∩ ker(h), re-coordinatized to the (ambient_dim - 1)-frame of ker(h)."""
-    if frame is None:
-        frame = section_coordinates(h)
-    cut = subspace_intersection(s, Subspace(s.ambient_dim, frame))
-    # express each basis vector in frame coordinates: frame^T · y = v
-    cols = make_matrix(list(zip(*frame)))
+    With p the first nonzero column of h, the frame is e_j − (h_j/h_p)·e_p
+    for j ≠ p in order, so the frame coordinates of a vector of ker(h) are
+    its entries with column p dropped.
+    """
+    cut = subspace_intersection(s, h.kernel_subspace)
+    p = next(j for j, x in enumerate(h.functional) if x != 0)
     new_rows = []
     for v in cut.basis:
-        y = solve_rational(cols, v)
-        if y is None:
+        if sum(f * x for f, x in zip(h.functional, v)) != 0:
             raise RuntimeError("vector not in hyperplane frame")
-        new_rows.append(y)
-    return Subspace.from_span(len(frame), new_rows)
+        new_rows.append(v[:p] + v[p + 1:])
+    return Subspace.from_span(h.ambient_dim - 1, new_rows)
 
 
 def hyperplane_section(poset: IntersectionPoset, h: Hyperplane) -> Arrangement:
@@ -240,11 +245,10 @@ def hyperplane_section(poset: IntersectionPoset, h: Hyperplane) -> Arrangement:
     for q in poset.elements:
         if q.dim >= 1 and h.vanishes_on(q):
             raise GenericityError("hyperplane contains an intersection subspace")
-    frame = section_coordinates(h)
     sections = []
     names = []
     for s, name in zip(arr.subspaces, arr.names):
-        cut = restrict_to_hyperplane(s, h, frame)
+        cut = restrict_to_hyperplane(s, h)
         if cut.dim != s.dim - 1:
             raise GenericityError("section did not drop dimension by one")
         if cut.dim >= 1:

@@ -30,10 +30,13 @@ from .ring import affine_decompose, decompose, ring_table, verify_ring_axioms
 
 
 def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path) as fh:
-        return fh.read()
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise InputError(f"input is not UTF-8 text: {e}") from None
 
 
 def _emit(doc, fmt: str):

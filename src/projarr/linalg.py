@@ -8,6 +8,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import gcd, lcm
 
 Row = tuple[Fraction, ...]
 Matrix = tuple[Row, ...]
@@ -27,43 +29,51 @@ def make_matrix(rows) -> Matrix:
     return out
 
 
+def _primitive(row) -> list[int]:
+    """The row scaled to integers with content 1; a zero row stays zero."""
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
+
+
 def rref(m: Matrix) -> Matrix:
-    """Reduced row echelon form with zero rows removed and pivots 1."""
-    rows = [list(r) for r in m]
-    if not rows:
-        return ()
-    ncols = len(rows[0])
-    pivot_row = 0
-    for col in range(ncols):
-        pr = None
-        for r in range(pivot_row, len(rows)):
-            if rows[r][col] != 0:
-                pr = r
-                break
+    """Reduced row echelon form with zero rows removed and pivots 1.
+
+    Fraction-free: rows are scaled to primitive integer rows, a row step
+    is r ← (a/g)·r − (b/g)·pivot_row with g = gcd(a, b), and every changed
+    row is divided by its content.  The unique rational RREF is read off
+    at the end as x / pivot.
+    """
+    rows = [r for r in map(_primitive, m) if any(r)]
+    pivots: list[int] = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        pr = next((r for r in range(top, len(rows)) if rows[r][col]), None)
         if pr is None:
             continue
-        rows[pivot_row], rows[pr] = rows[pr], rows[pivot_row]
-        piv = rows[pivot_row][col]
-        rows[pivot_row] = [x / piv for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [a - f * b for a, b in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        if pivot_row == len(rows):
+        rows[top], rows[pr] = rows[pr], rows[top]
+        prow = rows[top]
+        a = prow[col]
+        for r, row in enumerate(rows):
+            b = row[col]
+            if b and r != top:
+                g = gcd(a, b)
+                fa, fb = a // g, b // g
+                new = [fa * x - fb * y for x, y in zip(row, prow)]
+                c = gcd(*new)
+                rows[r] = [x // c for x in new] if c > 1 else new
+        pivots.append(col)
+        if len(pivots) == len(rows):
             break
-    return tuple(tuple(r) for r in rows[:pivot_row] if any(x != 0 for x in r))
+    return tuple(
+        tuple(Fraction(x, row[p]) for x in row) for row, p in zip(rows, pivots)
+    )
 
 
-def kernel(m: Matrix, ncols: int) -> Matrix:
-    """Basis (as rows) of the right null space of m acting on Q^ncols."""
-    red = rref(m)
-    pivots = []
-    for row in red:
-        for j, x in enumerate(row):
-            if x != 0:
-                pivots.append(j)
-                break
+def _kernel_of_rref(red: Matrix, ncols: int) -> Matrix:
+    """Null space basis of a matrix already in RREF: one row per free column."""
+    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in red]
     free = [j for j in range(ncols) if j not in pivots]
     basis = []
     for j in free:
@@ -75,22 +85,9 @@ def kernel(m: Matrix, ncols: int) -> Matrix:
     return tuple(basis)
 
 
-def solve_rational(m: Matrix, b) -> Row | None:
-    """One rational solution x of m·x = b, or None if inconsistent."""
-    if not m:
-        return None if any(Fraction(x) != 0 for x in b) else ()
-    ncols = len(m[0])
-    aug = make_matrix([list(row) + [bi] for row, bi in zip(m, b)])
-    red = rref(aug)
-    # free variables are set to zero, so each pivot variable reads off
-    # the augmented column directly
-    x = [Fraction(0)] * ncols
-    for row in red:
-        piv = next(j for j, v in enumerate(row) if v != 0)
-        if piv == ncols:
-            return None
-        x[piv] = row[ncols]
-    return tuple(x)
+def kernel(m: Matrix, ncols: int) -> Matrix:
+    """Basis (as rows) of the right null space of m acting on Q^ncols."""
+    return _kernel_of_rref(rref(m), ncols)
 
 
 @dataclass(frozen=True)
@@ -98,7 +95,7 @@ class Subspace:
     """A linear subspace of Q^ambient_dim in canonical (RREF) form.
 
     Equality and hashing go through the RREF basis, so subspaces compare
-    as sets of vectors.
+    as sets of vectors; the cached `annihilator` takes no part in them.
     """
 
     ambient_dim: int
@@ -142,16 +139,18 @@ class Subspace:
             raise AmbientMismatch("ambient dimensions differ")
         return all(self.contains_vector(r) for r in other.basis)
 
+    @cached_property
     def annihilator(self) -> Matrix:
-        """Rows spanning the functionals vanishing on this subspace."""
-        return kernel(self.basis, self.ambient_dim)
+        """Rows spanning the functionals vanishing on this subspace, read
+        off the RREF basis once per subspace."""
+        return _kernel_of_rref(self.basis, self.ambient_dim)
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
-    functionals = a.annihilator() + b.annihilator()
-    return Subspace(a.ambient_dim, rref(kernel(make_matrix(functionals), a.ambient_dim)))
+    functionals = a.annihilator + b.annihilator
+    return Subspace(a.ambient_dim, rref(kernel(functionals, a.ambient_dim)))
 
 
 # ---------------------------------------------------------------------------

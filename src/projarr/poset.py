@@ -19,7 +19,6 @@ from .arrangement import (
     hyperplane_section,
     intersection_closure,
     restrict_to_hyperplane,
-    section_coordinates,
 )
 from .linalg import Subspace
 
@@ -155,11 +154,10 @@ def verify_eta(poset: IntersectionPoset, seed: int = 0) -> EtaReport:
     except GenericityError as e:
         return EtaReport(False, f"genericity failure: {e}")
     sposet = build_poset(sectioned)
-    frame = section_coordinates(h)
     upper = [i for i in range(len(poset.elements)) if poset.d[i] >= 1]
     images = {}
     for i in upper:
-        img = restrict_to_hyperplane(poset.elements[i], h, frame)
+        img = restrict_to_hyperplane(poset.elements[i], h)
         if img.dim - 1 != poset.d[i] - 1:
             return EtaReport(False, f"dimension not lowered by one at element {i}")
         try:

@@ -119,6 +119,38 @@ def test_bad_input_exit_2(capsys, tmp_path):
     assert main(["ring", str(tmp_path / "missing.json")]) == 2
 
 
+def test_non_utf8_input_exit_2(capsys, tmp_path, monkeypatch):
+    import io
+
+    raw = b"\xff\xfe" + open(fixture("points3_cp1"), "rb").read()
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(raw)
+    assert main(["poset", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input is not UTF-8 text")
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8"))
+    assert main(["poset"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input is not UTF-8 text")
+
+
+def test_non_string_name_exit_2(capsys, tmp_path):
+    doc = {"ambient_dim": 2, "subspaces": [{"name": 5, "span": [[1, 0]]}]}
+    bad = tmp_path / "named.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["poset", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: subspace name must be a string" in captured.err
+    doc["subspaces"][0]["name"] = "P"
+    bad.write_text(json.dumps(doc))
+    code, out = run(capsys, "poset", str(bad))
+    assert code == 0
+    assert "P" in [e["name"] for e in json.loads(out)["elements"]]
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

@@ -12,7 +12,6 @@ from projarr.linalg import (
     make_matrix,
     rref,
     snf,
-    solve_rational,
     subspace_intersection,
 )
 
@@ -51,15 +50,6 @@ def test_kernel_vectors_annihilated():
     assert len(kernel(m, 3)) == 1
 
 
-def test_solve_rational_consistent_and_inconsistent():
-    m = make_matrix([[1, 2], [3, 4]])
-    x = solve_rational(m, [5, 6])
-    assert x is not None
-    assert [sum(a * b for a, b in zip(row, x)) for row in m] == [5, 6]
-    singular = make_matrix([[1, 1], [2, 2]])
-    assert solve_rational(singular, [1, 3]) is None
-
-
 def test_subspace_canonical_equality_across_constructions():
     # the same plane reached by span, intersection and equations must
     # compare equal (duplicates here would corrupt the poset)
@@ -85,7 +75,7 @@ def test_subspace_contains_and_dims():
 
 def test_annihilator_dimensions():
     s = Subspace.from_span(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
-    ann = s.annihilator()
+    ann = s.annihilator
     assert len(ann) == 2
     for f in ann:
         for v in s.basis:

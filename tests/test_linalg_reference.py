@@ -1,0 +1,183 @@
+"""The subspace layer against an independent reference: sympy's exact
+row reduction and ranks, and brute-force intersection over subfamilies."""
+
+from fractions import Fraction
+from itertools import combinations
+
+import sympy
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
+
+from projarr.arrangement import (
+    Arrangement,
+    Hyperplane,
+    hyperplane_section,
+    intersection_closure,
+    restrict_to_hyperplane,
+)
+from projarr.linalg import Subspace, make_matrix, rref, subspace_intersection
+from projarr.poset import build_poset, verify_eta
+
+BIG = 10**6
+
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-3, 3).map(Fraction),
+    st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+)
+
+
+@st.composite
+def rational_matrices(draw, max_rows=5, max_cols=5):
+    rows = draw(st.integers(1, max_rows))
+    cols = draw(st.integers(1, max_cols))
+    m = [[draw(rationals) for _ in range(cols)] for _ in range(rows)]
+    # zero rows and zero columns, and rows repeated up to a scalar
+    for i in draw(st.sets(st.integers(0, rows - 1), max_size=rows)):
+        m[i] = [Fraction(0)] * cols
+    for j in draw(st.sets(st.integers(0, cols - 1), max_size=cols)):
+        for row in m:
+            row[j] = Fraction(0)
+    if rows > 1 and draw(st.booleans()):
+        f = draw(rationals)
+        m[-1] = [f * x for x in m[0]]
+    return m
+
+
+def _fraction(x) -> Fraction:
+    x = sympy.Rational(x)
+    return Fraction(int(x.p), int(x.q))
+
+
+def sympy_rref(m) -> tuple:
+    red, pivots = sympy.Matrix(m).rref()
+    return tuple(
+        tuple(_fraction(red[i, j]) for j in range(red.cols)) for i in range(len(pivots))
+    )
+
+
+def sympy_rank(rows) -> int:
+    return sympy.Matrix(rows).rank() if rows else 0
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(rational_matrices())
+@example([[Fraction(0)]])
+@example([[Fraction(0), Fraction(0), Fraction(0)]])
+@example([[Fraction(0)], [Fraction(0)]])
+@example([[Fraction(BIG, BIG - 1), Fraction(-1, BIG), Fraction(0), Fraction(7)]])
+@example([[Fraction(BIG - 1, BIG)], [Fraction(0)], [Fraction(-3, 7)]])
+@example([[Fraction(-BIG, 3), Fraction(1, BIG)], [Fraction(BIG, BIG - 3), Fraction(0)], [Fraction(2), Fraction(5, BIG)]])
+def test_rref_matches_sympy(m):
+    assert rref(make_matrix(m)) == sympy_rref(m)
+
+
+small_rows = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    st.lists(small_rows, min_size=1, max_size=4),
+    st.lists(small_rows, min_size=1, max_size=4),
+)
+def test_intersection_dimension_obeys_grassmann(rows_a, rows_b):
+    a = Subspace.from_span(4, rows_a)
+    b = Subspace.from_span(4, rows_b)
+    cut = subspace_intersection(a, b)
+    dim_a, dim_b = sympy_rank(rows_a), sympy_rank(rows_b)
+    assert (a.dim, b.dim) == (dim_a, dim_b)
+    # dim(A ∩ B) = dim A + dim B − dim(A + B)
+    assert cut.dim == dim_a + dim_b - sympy_rank(rows_a + rows_b)
+    for row in cut.basis:
+        assert sympy_rank(rows_a + [list(row)]) == dim_a
+        assert sympy_rank(rows_b + [list(row)]) == dim_b
+
+
+def _brute_force_closure(ambient_dim, members):
+    """Every subfamily's intersection as its sympy RREF basis, mapped to the
+    mask of the members containing it."""
+    equations = [sympy.Matrix(m).nullspace() for m in members]
+    found = {}
+    full = tuple(tuple(Fraction(int(i == j)) for j in range(ambient_dim)) for i in range(ambient_dim))
+    found[full] = None
+    for size in range(1, len(members) + 1):
+        for subset in combinations(range(len(members)), size):
+            eqs = [v.T for a in subset for v in equations[a]]
+            basis = sympy.Matrix.vstack(*eqs).nullspace()
+            key = sympy_rref([list(v) for v in basis]) if basis else ()
+            found[key] = None
+    for key in found:
+        found[key] = sum(
+            1 << a
+            for a, m in enumerate(members)
+            if sympy_rank(m + [list(r) for r in key]) == sympy_rank(m)
+        )
+    return found
+
+
+@st.composite
+def small_arrangements(draw):
+    ambient_dim = draw(st.integers(3, 4))
+    count = draw(st.integers(1, 5))
+    members, spans = [], set()
+    for _ in range(count):
+        dim = draw(st.integers(1, ambient_dim - 1))
+        rows = draw(
+            st.lists(
+                st.lists(st.integers(-1, 1), min_size=ambient_dim, max_size=ambient_dim),
+                min_size=dim,
+                max_size=dim,
+            )
+        )
+        key = sympy_rref(rows)
+        assume(0 < len(key) < ambient_dim and key not in spans)
+        spans.add(key)
+        members.append(rows)
+    return ambient_dim, members
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(small_arrangements())
+@example((3, [[[1, 0, 0], [0, 0, 1]], [[0, 1, 0], [0, 0, 1]], [[1, 1, 0], [0, 0, 1]]]))  # concurrent lines
+@example((4, [[[1, 0, 0, 0], [0, 1, 0, 0]], [[1, 0, 0, 0]], [[0, 0, 1, 0], [0, 0, 0, 1]]]))  # point on a line
+@example((3, [[[1, 1, 0]], [[1, -1, 0]], [[1, 0, 0], [0, 1, 0]]]))  # two points on a line, before it
+def test_closure_matches_brute_force(case):
+    ambient_dim, members = case
+    arr = Arrangement(ambient_dim, tuple(Subspace.from_span(ambient_dim, m) for m in members))
+    closure = intersection_closure(arr)
+    expected = _brute_force_closure(ambient_dim, members)
+    assert {s.basis: mask for s, mask in closure.items()} == expected
+
+
+def test_section_with_pivot_off_column_zero(monkeypatch):
+    # h = (0, 2, -3, 1): its first nonzero column is 1, so the section frame
+    # is e_j - (h_j / h_1)·e_1 for j = 0, 2, 3 and column 1 is dropped
+    h = Hyperplane(tuple(Fraction(x) for x in (0, 2, -3, 1)))
+    frame = sympy.Matrix(
+        [[1, 0, 0, 0], [0, sympy.Rational(3, 2), 1, 0], [0, sympy.Rational(-1, 2), 0, 1]]
+    )
+    hvec = sympy.Matrix([[0, 2, -3, 1]])
+    assert hvec * frame.T == sympy.zeros(1, 3)
+    member_equations = [[[1, 0, 0, 0]], [[0, 0, 1, -1]], [[1, 1, 0, 0], [0, 0, 0, 1]]]
+    members = tuple(Subspace.from_equations(4, eqs) for eqs in member_equations)
+    for s, eqs in zip(members, member_equations):
+        # s ∩ ker h by sympy, then frame coordinates y solving frameᵀ·y = v
+        coords = []
+        for v in sympy.Matrix(eqs + [[0, 2, -3, 1]]).nullspace():
+            y, params = frame.T.gauss_jordan_solve(v)
+            assert params.shape[0] == 0
+            coords.append(list(y))
+        got = restrict_to_hyperplane(s, h)
+        assert got.ambient_dim == 3
+        assert got.basis == sympy_rref(coords)
+    poset = build_poset(Arrangement(4, members))
+    sectioned = hyperplane_section(poset, h)
+    assert [s.dim for s in sectioned.subspaces] == [s.dim - 1 for s in members]
+    monkeypatch.setattr("projarr.poset.generic_hyperplane", lambda poset, seed=0: h)
+    report = verify_eta(poset)
+    assert report.passed, report.detail
