@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import int_identity, int_matvec, snf
+from .linalg import int_matvec, snf
 from .poset import IntersectionPoset
 
 IntChain = dict[tuple, int]
@@ -87,17 +87,34 @@ class Generator:
     vector: list[int]
 
 
+Column = list[tuple[int, int]]  # the (row, value) nonzeros of a matrix column
+
+
+def _columns(m, cols) -> list[Column]:
+    """The nonzeros of the columns of m indexed by cols."""
+    return [[(k, row[j]) for k, row in enumerate(m) if row[j]] for j in cols]
+
+
+def _identity_columns(n: int) -> list[Column]:
+    return [[(j, 1)] for j in range(n)]
+
+
 @dataclass
 class DegreeHomology:
     """H_r presented as Z^free ⊕ ⊕ Z/t with an exact coordinatizer."""
 
     generators: list[Generator]
     # coordinatizer internals
-    _vinv: list[list[int]]  # inverse of the SNF V of the boundary out of C_r
+    _vinv: list[Column]  # columns of the inverse SNF V of the boundary out of C_r
     _rank_out: int  # rank of that boundary; kernel coords start here
-    _u2: list[list[int]]  # SNF U of the image presentation matrix
+    _u2: list[Column]  # columns of the SNF U of the image presentation matrix
     _orders: list[int]  # per kernel coordinate, 0 free / 1 killed / t torsion
     _signs: list[int]
+
+    @classmethod
+    def empty(cls, vinv: list[Column] | None = None, rank_out: int = 0) -> "DegreeHomology":
+        """H_r = 0; vinv and rank_out still let coordinatize reject non-cycles."""
+        return cls([], vinv or [], rank_out, [], [], [])
 
     @property
     def free_rank(self) -> int:
@@ -109,11 +126,23 @@ class DegreeHomology:
 
     def coordinatize(self, zvec) -> list[int]:
         """Coordinates of the cycle zvec in the generator basis."""
-        y = int_matvec(self._vinv, list(zvec))
-        if any(y[i] != 0 for i in range(self._rank_out)):
+        return self._coordinatize((j, x) for j, x in enumerate(zvec) if x)
+
+    def _coordinatize(self, entries) -> list[int]:
+        """Coordinates of the cycle with (index, coefficient) entries: the
+        V⁻¹ columns at those indices are summed, then U₂ is applied over
+        the nonzero kernel coordinates only."""
+        y = [0] * len(self._vinv)
+        for j, x in entries:
+            for k, c in self._vinv[j]:
+                y[k] += x * c
+        if any(y[:self._rank_out]):
             raise NotACycle("chain is not a cycle")
-        w = y[self._rank_out:]
-        wp = int_matvec(self._u2, w) if self._u2 else []
+        wp = [0] * len(self._u2)
+        for k, wk in enumerate(y[self._rank_out:]):
+            if wk:
+                for i, c in self._u2[k]:
+                    wp[i] += c * wk
         coords = []
         pos = 0
         for i, order in enumerate(self._orders):
@@ -135,10 +164,11 @@ class HomologySummary:
     def degree(self, r: int) -> DegreeHomology:
         if 0 <= r < len(self.degrees):
             return self.degrees[r]
-        return DegreeHomology([], [], 0, [], [], [])
+        return DegreeHomology.empty()
 
     def class_of(self, chain: IntChain, r: int) -> list[int]:
-        return self.degree(r).coordinatize(self.complex.vector(chain, r))
+        entries = [(self.complex.index[r][s], c) for s, c in chain.items() if c]
+        return self.degree(r)._coordinatize(entries)
 
 
 def _leading_sign(vec) -> int:
@@ -148,18 +178,17 @@ def _leading_sign(vec) -> int:
     return 1
 
 
-def _image_in_kernel_coords(vinv, rank_out: int, bnd_in) -> list[list[int]]:
-    """Rows rank_out: of vinv·bnd_in, built from the nonzeros of bnd_in.
+def _image_in_kernel_coords(vinv: list[Column], rank_out: int, bnd_in) -> list[list[int]]:
+    """Rows rank_out: of V⁻¹·bnd_in, built from the nonzeros of bnd_in.
 
     Because ∂_r·V = U⁻¹·D, a cycle b has V⁻¹b = (0, …, 0, w) with w its
     coordinates in the kernel basis V[:, rank_out:]."""
     nr = len(vinv)
-    vinv_cols = [[(k, row[i]) for k, row in enumerate(vinv) if row[i]] for i in range(nr)]
     columns = [[] for _ in bnd_in[0]]
     for i, row in enumerate(bnd_in):
         for j, x in enumerate(row):
             if x:
-                columns[j].append((vinv_cols[i], x))
+                columns[j].append((vinv[i], x))
     out = []
     for entries in columns:
         y = [0] * nr
@@ -177,45 +206,42 @@ def homology(cx: ChainComplex) -> HomologySummary:
     for r in range(cx.top_degree + 1):
         nr = cx.dim(r)
         if nr == 0:
-            degrees.append(DegreeHomology([], [], 0, [], [], []))
+            degrees.append(DegreeHomology.empty())
             continue
         out = cx.boundary_matrix(r)
         if len(out) == 0:
-            # no target: everything is a cycle
-            v = vinv = int_identity(nr)
+            # no target: everything is a cycle, V = V⁻¹ = I
             rank_out = 0
+            vinv = kernel = _identity_columns(nr)
         else:
             res = snf(out)
             rank_out = sum(1 for x in res.diagonal() if x != 0)
-            v, vinv = res.v, res.vinv
+            vinv = _columns(res.vinv, range(nr))
+            kernel = _columns(res.v, range(rank_out, nr))
         s = nr - rank_out
-        kernel_cols = [[v[i][rank_out + j] for j in range(s)] for i in range(nr)]
         if s == 0:
-            degrees.append(DegreeHomology([], vinv, rank_out, [], [], []))
+            degrees.append(DegreeHomology.empty(vinv, rank_out))
             continue
         # present the image of the next boundary in kernel coordinates
         if cx.dim(r + 1):
             mmat = _image_in_kernel_coords(vinv, rank_out, cx.boundary_matrix(r + 1))
             res2 = snf(mmat)
-            u2, u2inv = res2.u, res2.uinv
+            u2, u2inv = _columns(res2.u, range(s)), _columns(res2.uinv, range(s))
             diag2 = res2.diagonal()
         else:
-            u2 = u2inv = int_identity(s)
+            u2 = u2inv = _identity_columns(s)
             diag2 = []
-        orders = []
-        for i in range(s):
-            di = diag2[i] if i < len(diag2) else 0
-            orders.append(di)
+        orders = [diag2[i] if i < len(diag2) else 0 for i in range(s)]
         # generator i lives in column i of K·U2^{-1}
         gens = []
         signs = []
         for i, order in enumerate(orders):
             if order == 1:
                 continue
-            col = [
-                sum(kernel_cols[row][k] * u2inv[k][i] for k in range(s))
-                for row in range(nr)
-            ]
+            col = [0] * nr
+            for k, x in u2inv[i]:
+                for row, c in kernel[k]:
+                    col[row] += c * x
             eps = _leading_sign(col)
             signs.append(eps)
             gens.append(Generator(order, [eps * x for x in col]))

@@ -127,6 +127,10 @@ def _check_member_index(arr, flag: str, index: int) -> None:
 def cmd_ring(arr, args):
     if args.affine is not None:
         _check_member_index(arr, "--affine", args.affine)
+        if arr.subspaces[args.affine].dim != arr.n:
+            raise InputError(
+                f"--affine {args.affine}: member {arr.names[args.affine]} is not a hyperplane"
+            )
         table = affine_decompose(build_poset(arr), args.affine)
         basis_doc = [
             {

@@ -96,10 +96,19 @@ class Subspace:
 
     Equality and hashing go through the RREF basis, so subspaces compare
     as sets of vectors; the cached `annihilator` takes no part in them.
+    The hash is computed once per subspace, because hashing its Fraction
+    entries costs a modular inverse each.
     """
 
     ambient_dim: int
     basis: Matrix
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.ambient_dim, self.basis))
 
     @staticmethod
     def from_span(ambient_dim: int, rows) -> "Subspace":

@@ -320,17 +320,13 @@ def verify_fk_iso(poset: IntersectionPoset, k: int) -> VerificationReport:
     h_rel = homology(data.relative)
     top = max(data.atomic.top_degree, data.relative.top_degree)
     for r in range(top + 1):
-        da = h_at.degree(r) if r < len(h_at.degrees) else None
-        dr = h_rel.degree(r) if r < len(h_rel.degrees) else None
-        free_a = da.free_rank if da else 0
-        free_r = dr.free_rank if dr else 0
-        tor_a = da.torsion if da else []
-        tor_r = dr.torsion if dr else []
-        if free_a != free_r or tor_a != tor_r:
+        da, dr = h_at.degree(r), h_rel.degree(r)
+        free_r = dr.free_rank
+        if da.free_rank != free_r or da.torsion != dr.torsion:
             return VerificationReport(False, f"group mismatch in degree {r}")
-        if free_a == 0 and not tor_a:
+        if not da.generators:
             continue
-        if tor_a:
+        if da.torsion:
             return VerificationReport(
                 False, f"torsion comparison in degree {r} unsupported"
             )
@@ -341,7 +337,7 @@ def verify_fk_iso(poset: IntersectionPoset, k: int) -> VerificationReport:
                 sum(data.matrices[r][i][j] * avec[j] for j in range(data.atomic.dim(r)))
                 for i in range(data.relative.dim(r))
             ]
-            cols.append(h_rel.degree(r).coordinatize(vec))
+            cols.append(dr.coordinatize(vec))
         matrix = [[cols[j][i] for j in range(len(cols))] for i in range(free_r)]
         if abs(int_det(matrix)) != 1:
             return VerificationReport(False, f"induced map not unimodular in degree {r}")

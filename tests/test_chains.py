@@ -1,4 +1,5 @@
 import dataclasses
+import pathlib
 import random
 
 import pytest
@@ -7,10 +8,12 @@ from arrangements import (
     boolean,
     crossed_pairs,
     empty,
+    generic_hyperplanes,
     mixed,
     points_cp1,
     skew_lines,
 )
+from projarr.arrangement import parse_arrangement
 from projarr.chains import (
     ChainComplex,
     NotACycle,
@@ -107,15 +110,20 @@ def test_synthetic_torsion():
     assert summary.degree(0).coordinatize([2]) == [0]  # 2x is a boundary
 
 
-def test_synthetic_torsion_in_proper_cycle_sublattice():
+def torsion_sublattice_complex():
     # ker d1 = <e1-e2, e2-e4, e3> is a proper sublattice of Z^4, and
     # im d2 = <k1-k2, 3(k2+k3)> in that basis, so H_1 = Z/3 + Z
     d1 = [[-1, -1, 0, -1], [1, 1, 0, 1]]
     d2 = [[1, 0], [-2, 3], [0, 3], [1, -3]]
-    cx = ChainComplex(
+    return ChainComplex(
         [[(0,), (1,)], [(0, 1), (0, 2), (0, 3), (0, 4)], [(0, 1, 2), (0, 1, 3)]],
         [[], d1, d2],
     )
+
+
+def test_synthetic_torsion_in_proper_cycle_sublattice():
+    cx = torsion_sublattice_complex()
+    d2 = cx.boundaries[2]
     summary = homology(cx)
     h1 = summary.degree(1)
     assert h1.free_rank == 1 and h1.torsion == [3]
@@ -180,6 +188,51 @@ def test_class_of_boundary_is_zero_on_random_chains():
                 coords = summary.class_of(bnd, r - 1)
                 assert all(c == 0 for c in coords)
                 trials += 1
+
+
+def coordinatizer_cases():
+    """Every relative complex of every level, and every local complex, of
+    the fixtures and the shared families, plus the Z + Z/3 complex."""
+    fixture_dir = pathlib.Path(__file__).parent.parent / "fixtures"
+    arrangements = [parse_arrangement(p.read_text()) for p in sorted(fixture_dir.glob("*.json"))]
+    arrangements += FIXTURES + [boolean(3), generic_hyperplanes(2, 4)]
+    for arr in arrangements:
+        poset = build_poset(arr)
+        for k in range(arr.n + 1):
+            yield build_relative_complex(poset, k)
+        for u in range(len(poset.elements)):
+            if poset.d[u] >= 0:
+                yield build_local_complex(poset, u)
+    yield torsion_sublattice_complex()
+
+
+def test_class_of_recovers_coefficients_of_generators_plus_boundary():
+    # z = sum a_i g_i + d(c) must coordinatize to (a_i), reduced mod the
+    # order of each torsion generator; z plus a cell with nonzero boundary
+    # is not a cycle
+    rng = random.Random(23)
+    checked = rejected = 0
+    for cx in coordinatizer_cases():
+        summary = homology(cx)
+        for r in range(cx.top_degree + 1):
+            gens = summary.degree(r).generators
+            for _ in range(3):
+                coeffs = [rng.randrange(-6, 7) for _ in gens]
+                z = {}
+                for a, g in zip(coeffs, gens):
+                    z = add_chains(z, cx.chain(g.vector, r), a)
+                if cx.dim(r + 1):
+                    c = cx.chain([rng.randrange(-3, 4) for _ in range(cx.dim(r + 1))], r + 1)
+                    z = add_chains(z, cx.apply_boundary(c, r + 1))
+                want = [a % g.order if g.order else a for a, g in zip(coeffs, gens)]
+                assert summary.class_of(z, r) == want
+                checked += 1
+                cells = [s for s in cx.bases[r] if cx.apply_boundary({s: 1}, r)]
+                if cells:
+                    with pytest.raises(NotACycle):
+                        summary.class_of(add_chains(z, {rng.choice(cells): 1}), r)
+                    rejected += 1
+    assert checked > 1000 and rejected > 100
 
 
 def test_cross_shuffle_point_identity():

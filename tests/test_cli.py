@@ -171,6 +171,17 @@ def test_member_index_out_of_range_exit_2(capsys, argv, message):
     assert message in captured.err
 
 
+@pytest.mark.parametrize(
+    "name, index, member",
+    [("skew_lines", 0, "A0"), ("crossed_pairs", 2, "u~"), ("mixed_cp3", 0, "A0")],
+)
+def test_affine_member_not_a_hyperplane_exit_2(capsys, name, index, member):
+    assert main(["ring", "--affine", str(index), fixture(name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --affine {index}: member {member} is not a hyperplane\n"
+
+
 def test_negative_max_degree_exit_2(capsys):
     # a negative bound would compare no degree and report a vacuous pass
     assert main(["presentation", "--c", "2", "--max-degree", "-3", fixture("skew_lines")]) == 2

@@ -73,6 +73,19 @@ def test_subspace_contains_and_dims():
     assert subspace_intersection(line, plane) == line
 
 
+def test_equal_subspaces_hash_equally_and_find_each_other():
+    # the plane x0 + 2x1 - x3 = 0 = x2 - 3x3 in Q^4, once as a span and
+    # once as the common zeros of two other equations for it
+    spanned = Subspace.from_span(4, [[2, -1, 0, 0], [Fraction(1, 2), Fraction(1, 4), 3, 1]])
+    cut = Subspace.from_equations(4, [[1, 2, 0, -1], [2, 4, 1, -5]])
+    assert spanned == cut
+    assert hash(spanned) == hash(cut) == hash(spanned)
+    assert {spanned: "span"}[cut] == "span"
+    assert {cut: "equations"}[spanned] == "equations"
+    other = Subspace.from_equations(4, [[1, 2, 0, -1], [0, 0, 1, -2]])
+    assert other != spanned and other not in {cut: 0}
+
+
 def test_annihilator_dimensions():
     s = Subspace.from_span(4, [(1, 0, 0, 0), (0, 1, 0, 0)])
     ann = s.annihilator

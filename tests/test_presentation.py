@@ -16,7 +16,9 @@ from projarr.chains import ChainComplex, homology
 from projarr.linalg import int_matmul
 from projarr.poset import build_poset, set_defect
 from projarr.ring import decompose, ring_table
+from projarr import presentation
 from projarr.presentation import (
+    ChainMapData,
     NotCArrangement,
     _chain_map_matrices,
     atomic_complex,
@@ -182,6 +184,22 @@ def test_verify_fk_iso_all_levels():
         for k in range(arr.n + 1):
             report = verify_fk_iso(poset, k)
             assert report.passed, (arr.names, k, report.detail)
+
+
+def test_verify_fk_iso_reports_torsion_unsupported(monkeypatch):
+    # C_0 = Z, C_1 = Z^2, C_2 = Z with d1 = (1 0) and d2 = (0 2)^T: H_0 = 0,
+    # H_1 = Z/2; the identity map between two copies is a chain map
+    def torsion_complex():
+        return ChainComplex(
+            [[(0,)], [(0, 1), (0, 2)], [(0, 1, 2)]], [[], [[1, 0]], [[0], [2]]]
+        )
+
+    assert homology(torsion_complex()).degree(1).torsion == [2]
+    identity = [[[1]], [[1, 0], [0, 1]], [[1]]]
+    data = ChainMapData(torsion_complex(), torsion_complex(), identity)
+    monkeypatch.setattr(presentation, "fk_chain_map", lambda poset, k: data)
+    report = verify_fk_iso(build_poset(points_cp1(2)), 0)
+    assert (report.passed, report.detail) == (False, "torsion comparison in degree 1 unsupported")
 
 
 def test_verify_fg_homotopic_all_levels():

@@ -1,4 +1,5 @@
-"""Each pipeline stage runs once per CLI command.
+"""Each pipeline stage runs once per CLI command, and cycles are
+coordinatized without dense matrix-vector products.
 
 Calls are counted by code object through `sys.setprofile`, so a stage
 reached through an alias (`from .poset import build_poset`) or a wrapper
@@ -12,6 +13,7 @@ import pytest
 
 from projarr.arrangement import intersection_closure
 from projarr.cli import main
+from projarr.linalg import int_matvec
 from projarr.poset import build_poset
 from projarr.ring import decompose
 
@@ -19,10 +21,10 @@ FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 STAGES = (build_poset, intersection_closure, decompose)
 
 
-def stage_counts(argv):
-    """Exit code and (build_poset, intersection_closure, decompose) calls."""
-    codes = {f.__code__: i for i, f in enumerate(STAGES)}
-    counts = [0] * len(STAGES)
+def call_counts(argv, functions):
+    """Exit code and the number of calls to each of functions."""
+    codes = {f.__code__: i for i, f in enumerate(functions)}
+    counts = [0] * len(functions)
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code in codes:
@@ -35,6 +37,11 @@ def stage_counts(argv):
     finally:
         sys.setprofile(previous)
     return code, tuple(counts)
+
+
+def stage_counts(argv):
+    """Exit code and (build_poset, intersection_closure, decompose) calls."""
+    return call_counts(argv, STAGES)
 
 
 @pytest.mark.parametrize(
@@ -64,3 +71,18 @@ def test_non_c_arrangement_rejected_before_homology(capsys):
     code, counts = stage_counts(["presentation", "--c", "2", os.path.join(FIXTURES, "boolean_cp2.json")])
     assert code == 2
     assert counts == (1, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [["ring"], ["ring", "--affine", "0"], ["presentation", "--c", "1"], ["presentation", "--c", "2"]],
+    ids=" ".join,
+)
+def test_cycles_are_coordinatized_without_dense_matvec(capsys, flags):
+    # coordinatize sums the sparse columns of V^-1 at a chain's nonzeros
+    succeeded = 0
+    for name in sorted(os.listdir(FIXTURES)):
+        code, (matvecs,) = call_counts(flags + [os.path.join(FIXTURES, name)], (int_matvec,))
+        assert matvecs == 0, name
+        succeeded += code == 0
+    assert succeeded >= 2
