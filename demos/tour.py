@@ -33,11 +33,12 @@ for i, s in enumerate(poset.elements):
 print("(V on top, the two lines, and the empty intersection)")
 
 print("\n=== cohomology ring ===")
-table = ring_table(decompose(poset))
+dec = decompose(poset)
+table = ring_table(dec)
 print("Betti numbers:", table.poincare)
 print("torsion:", [b.torsion_order for b in table.basis if b.torsion_order] or "none")
 for i, b in enumerate(table.basis):
-    print(f"  basis {i}: degree {b.degree} (level k={b.k}, simplicial degree {b.r})")
+    print(f"  basis {i}: degree {b.degree} (level k={b.summand}, simplicial degree {b.r})")
 print("nonzero products of basis elements:")
 for (i, j), entry in sorted(table.products.items()):
     if entry and i <= j and table.basis[i].degree and table.basis[j].degree:
@@ -45,7 +46,7 @@ for (i, j), entry in sorted(table.products.items()):
         print(f"  e{i} * e{j} = {terms}")
 
 print("\n=== independent oracles ===")
-report = compare(table.decomposition)
+report = compare(dec)
 print("Euler characteristic: engine", report.euler_engine, "oracle", report.euler_oracle)
 print("all oracle checks passed:", report.passed)
 

@@ -8,7 +8,6 @@ from .arrangement import (
     generic_hyperplane,
     hyperplane_section,
     parse_arrangement,
-    serialize_arrangement,
 )
 from .linalg import Subspace, rref, snf, subspace_intersection
 from .oracles import (
@@ -69,7 +68,6 @@ __all__ = [
     "projective_quotient",
     "ring_table",
     "rref",
-    "serialize_arrangement",
     "snf",
     "stratified_euler",
     "subspace_intersection",

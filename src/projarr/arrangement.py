@@ -61,6 +61,14 @@ class Arrangement:
         """Projective dimension of the ambient space."""
         return self.ambient_dim - 1
 
+    def check_member_index(self, label: str, index: int) -> None:
+        """Raise InputError, naming label and the range, unless index names a member."""
+        count = len(self.subspaces)
+        if count == 0:
+            raise InputError(f"{label} {index}: the arrangement has no members")
+        if not 0 <= index < count:
+            raise InputError(f"{label} {index} is out of range: member indices are 0..{count - 1}")
+
 
 @dataclass(frozen=True)
 class Hyperplane:
@@ -136,17 +144,6 @@ def parse_arrangement(text: str) -> Arrangement:
         subspaces.append(s)
         names.append(name if name is not None else f"A{i}")
     return Arrangement(ambient_dim, tuple(subspaces), tuple(names))
-
-
-def serialize_arrangement(arr: Arrangement) -> str:
-    doc = {
-        "ambient_dim": arr.ambient_dim,
-        "subspaces": [
-            {"name": name, "span": [[str(x) for x in row] for row in s.basis]}
-            for s, name in zip(arr.subspaces, arr.names)
-        ],
-    }
-    return json.dumps(doc, indent=2)
 
 
 def _inside(q: Subspace, a: Subspace) -> bool:

@@ -81,6 +81,14 @@ def boundary_matrix_from(faces, basis_prev, basis_cur):
     return m
 
 
+def complex_from_faces(bases: list[list[tuple]], faces) -> ChainComplex:
+    """The complex on bases whose boundary follows the face rule."""
+    boundaries = [[]] + [
+        boundary_matrix_from(faces, bases[r - 1], bases[r]) for r in range(1, len(bases))
+    ]
+    return ChainComplex(bases, boundaries)
+
+
 @dataclass
 class Generator:
     order: int  # 0 for free, t > 1 for torsion
@@ -277,10 +285,7 @@ def build_relative_complex(poset: IntersectionPoset, k: int) -> ChainComplex:
         q = len(s) - 1
         return [(s[:i] + s[i + 1:], (-1) ** i) for i in range(q)]
 
-    boundaries = [[]]
-    for r in range(1, len(by_degree)):
-        boundaries.append(boundary_matrix_from(faces, by_degree[r - 1], by_degree[r]))
-    return ChainComplex(by_degree, boundaries)
+    return complex_from_faces(by_degree, faces)
 
 
 def build_local_complex(poset: IntersectionPoset, u: int) -> ChainComplex:
@@ -315,10 +320,7 @@ def build_local_complex(poset: IntersectionPoset, u: int) -> ChainComplex:
     def faces(s):
         return [(s[:i] + s[i + 1:], (-1) ** i) for i in range(1, len(s) - 1)]
 
-    boundaries = [[]]
-    for r in range(1, len(by_degree)):
-        boundaries.append(boundary_matrix_from(faces, by_degree[r - 1], by_degree[r]))
-    return ChainComplex(by_degree, boundaries)
+    return complex_from_faces(by_degree, faces)
 
 
 # ---------------------------------------------------------------------------

@@ -116,53 +116,27 @@ def cmd_homology(arr, args):
     return 0
 
 
-def _check_member_index(arr, flag: str, index: int) -> None:
-    count = len(arr.subspaces)
-    if count == 0:
-        raise InputError(f"{flag} {index}: the arrangement has no members")
-    if not 0 <= index < count:
-        raise InputError(f"{flag} {index} is out of range: member indices are 0..{count - 1}")
-
-
 def cmd_ring(arr, args):
     if args.affine is not None:
-        _check_member_index(arr, "--affine", args.affine)
+        arr.check_member_index("--affine", args.affine)
         if arr.subspaces[args.affine].dim != arr.n:
             raise InputError(
                 f"--affine {args.affine}: member {arr.names[args.affine]} is not a hyperplane"
             )
         table = affine_decompose(build_poset(arr), args.affine)
-        basis_doc = [
-            {
-                "id": i,
-                "u": b.u,
-                "m": b.m,
-                "degree": b.degree,
-                "torsion_order": b.torsion_order,
-            }
-            for i, b in enumerate(table.basis)
-        ]
+        keys = ("u", "m")
     else:
         table = ring_table(decompose(build_poset(arr)))
-        basis_doc = [
-            {
-                "id": i,
-                "k": b.k,
-                "r": b.r,
-                "degree": b.degree,
-                "torsion_order": b.torsion_order,
-                "representative": _chain_doc(
-                    table.decomposition.summaries[b.k].complex.chain(
-                        table.decomposition.summaries[b.k]
-                        .degrees[b.r]
-                        .generators[b.index]
-                        .vector,
-                        b.r,
-                    )
-                ),
-            }
-            for i, b in enumerate(table.basis)
-        ]
+        keys = ("k", "r")
+    basis_doc = []
+    for i, b in enumerate(table.basis):
+        row = {
+            "id": i, keys[0]: b.summand, keys[1]: b.r,
+            "degree": b.degree, "torsion_order": b.torsion_order,
+        }
+        if args.affine is None:
+            row["representative"] = _chain_doc(table.representative(i))
+        basis_doc.append(row)
     doc = {
         "n": table.n,
         "basis": basis_doc,
@@ -181,7 +155,7 @@ def cmd_presentation(arr, args):
     if args.c is None:
         print("error: presentation requires --c", file=sys.stderr)
         return 2
-    _check_member_index(arr, "--base", args.base)
+    arr.check_member_index("--base", args.base)
     if args.max_degree is not None and args.max_degree < 0:
         raise InputError(f"--max-degree {args.max_degree} must be at least 0")
     poset = build_poset(arr)
@@ -216,8 +190,9 @@ def cmd_presentation(arr, args):
 
 def cmd_verify(arr, args):
     poset = build_poset(arr)
-    table = ring_table(decompose(poset))
-    oracle_report = compare(table.decomposition)
+    dec = decompose(poset)
+    table = ring_table(dec)
+    oracle_report = compare(dec)
     axiom_report = verify_ring_axioms(table)
     failures = oracle_report.failures + axiom_report.failures
     eta_results = []

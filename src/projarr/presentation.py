@@ -11,16 +11,16 @@ through A_0, and x^c.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from .chains import (
     ChainComplex,
-    HomologySummary,
     IntChain,
     add_chains,
     build_relative_complex,
+    complex_from_faces,
     homology,
     meet_chain,
 )
@@ -95,8 +95,7 @@ def build_presentation(poset: IntersectionPoset, c: int, base_index: int = 0) ->
     if not is_c_arrangement(poset, c):
         raise NotCArrangement(f"not a {c}-arrangement")
     arr = poset.arr
-    if not arr.subspaces:
-        raise ValueError("presentation needs at least one member")
+    arr.check_member_index("base_index", base_index)
     members = [i for i in range(len(arr.subspaces)) if i != base_index]
     member_of_y = {j + 1: m for j, m in enumerate(members)}
     y_of_member = {m: j for j, m in member_of_y.items()}
@@ -183,15 +182,7 @@ def atomic_complex(poset: IntersectionPoset, k: int) -> ChainComplex:
     def faces(s):
         return [(s[:j] + s[j + 1:], (-1) ** j) for j in range(len(s))]
 
-    boundaries = [[]]
-    for r in range(1, len(bases)):
-        idx = {s: i for i, s in enumerate(bases[r - 1])}
-        m = [[0] * len(bases[r]) for _ in bases[r - 1]]
-        for jcol, s in enumerate(bases[r]):
-            for face, coeff in faces(s):
-                m[idx[face]][jcol] += coeff
-        boundaries.append(m)
-    return ChainComplex(bases, boundaries)
+    return complex_from_faces(bases, faces)
 
 
 def _alpha(poset: IntersectionPoset, member: int) -> IntChain:
@@ -229,14 +220,13 @@ def _target_vector(relative: ChainComplex, chain, r: int) -> list[int]:
     return relative.vector(chain, r)
 
 
-def _chain_map_matrices(atomic: ChainComplex, relative: ChainComplex, image) -> list:
+def _chain_map_matrices(atomic: ChainComplex, relative: ChainComplex, image, shift: int) -> list:
+    """Per degree r, the matrix D^k_r -> C^rel_{r+shift} of image(r, simplex)."""
     mats = []
     for r in range(atomic.top_degree + 1):
-        rows = relative.dim(r)
-        cols = atomic.dim(r)
-        mat = [[0] * cols for _ in range(rows)]
+        mat = [[0] * atomic.dim(r) for _ in range(relative.dim(r + shift))]
         for j, simplex in enumerate(atomic.bases[r]):
-            for i, val in enumerate(_target_vector(relative, image(r, simplex), r)):
+            for i, val in enumerate(_target_vector(relative, image(r, simplex), r + shift)):
                 mat[i][j] = val
         mats.append(mat)
     return mats
@@ -245,7 +235,7 @@ def _chain_map_matrices(atomic: ChainComplex, relative: ChainComplex, image) -> 
 def fk_chain_map(poset: IntersectionPoset, k: int) -> ChainMapData:
     atomic = atomic_complex(poset, k)
     relative = build_relative_complex(poset, k)
-    mats = _chain_map_matrices(atomic, relative, lambda r, s: fk_chain(poset, s))
+    mats = _chain_map_matrices(atomic, relative, lambda r, s: fk_chain(poset, s), 0)
     return ChainMapData(atomic, relative, mats)
 
 
@@ -266,7 +256,7 @@ def gk_chain_map(poset: IntersectionPoset, c: int, base_index: int, k: int) -> C
             return {}
         return gk_chain(poset, base_index, simplex)
 
-    mats = _chain_map_matrices(atomic, relative, image)
+    mats = _chain_map_matrices(atomic, relative, image, 0)
     return ChainMapData(atomic, relative, mats)
 
 
@@ -276,20 +266,13 @@ def homotopy_matrices(
 ) -> list[list[list[int]]]:
     """K: D^k_r -> C^rel_{r+1}, the cone over the base member below level a."""
     a = gk_level(poset.n, c, k)
-    mats = []
-    for r in range(atomic.top_degree + 1):
-        rows = relative.dim(r + 1)
-        cols = atomic.dim(r)
-        mat = [[0] * cols for _ in range(rows)]
-        if r < a:
-            for j, simplex in enumerate(atomic.bases[r]):
-                if base_index in simplex:
-                    continue  # degenerate cone simplex
-                chain = fk_chain(poset, (base_index,) + simplex)
-                for i, val in enumerate(_target_vector(relative, chain, r + 1)):
-                    mat[i][j] = val
-        mats.append(mat)
-    return mats
+
+    def image(r, simplex):
+        if r >= a or base_index in simplex:  # zero, or a degenerate cone simplex
+            return {}
+        return fk_chain(poset, (base_index,) + simplex)
+
+    return _chain_map_matrices(atomic, relative, image, 1)
 
 
 def _is_chain_map(data: ChainMapData) -> bool:
@@ -398,34 +381,18 @@ class PiContext:
     y_images: dict[int, RingElement]
 
 
-def _global_ids(table: RingTable, k: int, r: int) -> list[int]:
-    ids = [i for i, b in enumerate(table.basis) if b.k == k and b.r == r]
-    ids.sort(key=lambda i: table.basis[i].index)
-    return ids
-
-
-def _element_from_class(table: RingTable, k: int, r: int, coords) -> RingElement:
-    ids = _global_ids(table, k, r)
-    return {ids[i]: c for i, c in enumerate(coords) if c}
-
-
 def pi_context(table: RingTable, pres: Presentation) -> PiContext:
     """The images of x and the y_i in the engine's ring table."""
-    dec = table.decomposition
-    poset = dec.poset
+    poset = table.poset
     arr = poset.arr
-    c = pres.c
     n = poset.n
     top = poset.top
-    x_coords = dec.summaries[n - 1].class_of({(top,): 1}, 0)
-    x_image = _element_from_class(table, n - 1, 0, x_coords)
+    x_image = table.element(n - 1, 0, {(top,): 1})
     y_images = {}
     base_id = poset.index_of(arr.subspaces[pres.base_index])
     for yi, member in pres.member_of_y.items():
         mid = poset.index_of(arr.subspaces[member])
-        chain = {(mid, top): 1, (base_id, top): -1}
-        coords = dec.summaries[n - c].class_of(chain, 1)
-        y_images[yi] = _element_from_class(table, n - c, 1, coords)
+        y_images[yi] = table.element(n - pres.c, 1, {(mid, top): 1, (base_id, top): -1})
     return PiContext(pres, table, x_image, y_images)
 
 

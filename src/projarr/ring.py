@@ -2,9 +2,12 @@
 complement, assembled from the level decomposition and the chain-level
 meet product, plus the affine reduction.
 
-Degrees: a homology class at level k and simplicial degree r sits in
-cohomological degree 2n - 2k - r.  Duality is pure bookkeeping; no
-geometric chains on projective space are ever built.
+Both modes build one `RingTable`: a graded direct sum of homology
+summands, a basis of their generators, and a product coordinatized back
+into one summand.  Projective mode has one summand per level k, and a
+class at level k and simplicial degree r sits in cohomological degree
+2n - 2k - r.  Duality is pure bookkeeping; no geometric chains on
+projective space are ever built.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .chains import (
-    ChainComplex,
     HomologySummary,
     IntChain,
     build_local_complex,
@@ -27,10 +29,10 @@ from .poset import IntersectionPoset
 
 @dataclass(frozen=True)
 class RingBasisElement:
-    k: int  # level
-    r: int  # simplicial degree
-    index: int  # position among the level's generators in this degree
-    degree: int  # cohomological degree 2n - 2k - r
+    summand: int  # level k (projective) or poset element u (affine)
+    r: int  # simplicial degree within the summand
+    index: int  # position among the summand's generators in degree r
+    degree: int  # cohomological degree
     torsion_order: int  # 0 = free
 
 RingElement = dict[int, int]  # basis id -> coefficient (torsion reduced)
@@ -39,8 +41,7 @@ RingElement = dict[int, int]  # basis id -> coefficient (torsion reduced)
 @dataclass
 class Decomposition:
     poset: IntersectionPoset
-    complexes: list[ChainComplex]  # per level k
-    summaries: list[HomologySummary]
+    summaries: list[HomologySummary]  # per level k
 
     @property
     def n(self) -> int:
@@ -48,27 +49,27 @@ class Decomposition:
 
 
 def decompose(poset: IntersectionPoset) -> Decomposition:
-    complexes = [build_relative_complex(poset, k) for k in range(poset.n + 1)]
-    summaries = [homology(cx) for cx in complexes]
-    return Decomposition(poset, complexes, summaries)
+    return Decomposition(
+        poset, [homology(build_relative_complex(poset, k)) for k in range(poset.n + 1)]
+    )
 
 
 @dataclass
 class RingTable:
-    n: int
-    decomposition: Decomposition
+    poset: IntersectionPoset
+    summaries: dict[int, HomologySummary]  # summand -> its homology
     basis: list[RingBasisElement]
     products: dict[tuple[int, int], RingElement]
     poincare: list[int]
+    ids: dict[tuple[int, int], list[int]]  # (summand, r) -> basis ids by generator index
+
+    @property
+    def n(self) -> int:
+        return self.poset.n
 
     @property
     def unit_index(self) -> int:
-        return next(
-            i for i, b in enumerate(self.basis) if b.k == self.n and b.degree == 0
-        )
-
-    def basis_of_degree(self, degree: int) -> list[int]:
-        return [i for i, b in enumerate(self.basis) if b.degree == degree]
+        return next(i for i, b in enumerate(self.basis) if b.degree == 0)
 
     def reduce(self, el: RingElement) -> RingElement:
         out = {}
@@ -88,67 +89,64 @@ class RingTable:
                     out[m] = out.get(m, 0) + ca * cb * s
         return self.reduce(out)
 
+    def representative(self, i: int) -> IntChain:
+        """The cycle representing basis element i in its summand."""
+        b = self.basis[i]
+        summary = self.summaries[b.summand]
+        return summary.complex.chain(summary.degrees[b.r].generators[b.index].vector, b.r)
 
-def _enumerate_basis(dec: Decomposition) -> list[RingBasisElement]:
-    n = dec.n
-    out = []
-    for k in range(n + 1):
-        summary = dec.summaries[k]
-        for r, dh in enumerate(summary.degrees):
-            degree = 2 * n - 2 * k - r
-            for idx, gen in enumerate(dh.generators):
-                out.append(RingBasisElement(k, r, idx, degree, gen.order))
-    out.sort(key=lambda b: (b.degree, -b.k, b.r, b.index))
-    return out
+    def element(self, summand: int, r: int, chain: IntChain) -> RingElement:
+        """The ring element of a degree-r cycle of one summand."""
+        coords = self.summaries[summand].class_of(chain, r)
+        return {self.ids[(summand, r)][i]: c for i, c in enumerate(coords) if c}
 
 
-def _representative(dec: Decomposition, b: RingBasisElement) -> IntChain:
-    summary = dec.summaries[b.k]
-    gen = summary.degrees[b.r].generators[b.index]
-    return summary.complex.chain(gen.vector, b.r)
+def _ring(poset, summaries, degree_of, order, product) -> RingTable:
+    """Assemble the table of a graded sum of summaries.
 
-
-def _basis_product(dec, basis, ids_by_kr, a: RingBasisElement, b: RingBasisElement) -> RingElement:
-    n = dec.n
-    if a.k + b.k < n:
-        return {}
-    m = a.k + b.k - n
-    r = a.r + b.r
-    summary = dec.summaries[m]
-    if summary.degree(r).generators == [] and summary.complex.dim(r) == 0:
-        return {}
-    c = _representative(dec, a)
-    d = _representative(dec, b)
-    prod = meet_product(dec.poset, a.k, b.k, c, d)
-    coords = summary.class_of(prod, r)
-    out: RingElement = {}
-    for idx, val in enumerate(coords):
-        if val:
-            out[ids_by_kr[(m, r)][idx]] = val
-    return out
-
-
-def ring_table(dec: Decomposition) -> RingTable:
-    n = dec.n
-    basis = _enumerate_basis(dec)
-    ids_by_kr: dict[tuple[int, int], list[int]] = {}
+    degree_of(summand, r) is the cohomological degree, order the basis
+    sort key, and product(a, b, c, d) the (summand, chain) that basis
+    elements a, b with representatives c, d multiply to, or None when
+    the product vanishes.  Every sort key ends in the generator index,
+    so ids of one (summand, r) come out in generator order.
+    """
+    basis = [
+        RingBasisElement(s, r, idx, degree_of(s, r), gen.order)
+        for s, summary in summaries.items()
+        for r, dh in enumerate(summary.degrees)
+        for idx, gen in enumerate(dh.generators)
+    ]
+    basis.sort(key=order)
+    ids: dict[tuple[int, int], list[int]] = {}
     for i, b in enumerate(basis):
-        ids_by_kr.setdefault((b.k, b.r), []).append(i)
-    for key in ids_by_kr:
-        ids_by_kr[key].sort(key=lambda i: basis[i].index)
-    products = {}
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            products[(i, j)] = _basis_product(dec, basis, ids_by_kr, a, b)
-    poincare = [0] * (2 * n + 1)
+        ids.setdefault((b.summand, b.r), []).append(i)
+    poincare = [0] * (2 * poset.n + 1)
     for b in basis:
         if b.torsion_order == 0:
             poincare[b.degree] += 1
-    table = RingTable(n, dec, basis, products, poincare)
-    # reduce torsion coordinates once so the table is canonical
-    for key in table.products:
-        table.products[key] = table.reduce(table.products[key])
+    table = RingTable(poset, summaries, basis, {}, poincare, ids)
+    reps = [table.representative(i) for i in range(len(basis))]
+    for i, a in enumerate(basis):
+        for j, b in enumerate(basis):
+            hit = product(a, b, reps[i], reps[j])
+            table.products[(i, j)] = table.element(hit[0], a.r + b.r, hit[1]) if hit else {}
     return table
+
+
+def ring_table(dec: Decomposition) -> RingTable:
+    poset, n = dec.poset, dec.n
+    summaries = dict(enumerate(dec.summaries))
+
+    def product(a, b, c, d):
+        m = a.summand + b.summand - n
+        if m < 0 or summaries[m].complex.dim(a.r + b.r) == 0:
+            return None
+        return m, meet_product(poset, a.summand, b.summand, c, d)
+
+    return _ring(
+        poset, summaries, lambda k, r: 2 * n - 2 * k - r,
+        lambda b: (b.degree, -b.summand, b.r, b.index), product,
+    )
 
 
 def poincare_polynomial(dec: Decomposition) -> list[int]:
@@ -205,99 +203,32 @@ def verify_ring_axioms(table: RingTable) -> AxiomReport:
     return AxiomReport(not failures, failures)
 
 
-# ---------------------------------------------------------------------------
-# affine mode
-
-
-@dataclass(frozen=True)
-class AffineBasisElement:
-    u: int  # poset element index in Q'
-    m: int  # simplicial degree in the local pair
-    index: int
-    degree: int  # cohomological degree 2n - 2 d(u) - m
-    torsion_order: int
-
-
-@dataclass
-class AffineTable:
-    n: int
-    poset: IntersectionPoset
-    qprime: list[int]
-    complexes: dict[int, ChainComplex]
-    summaries: dict[int, HomologySummary]
-    basis: list[AffineBasisElement]
-    products: dict[tuple[int, int], dict[int, int]]
-    poincare: list[int]
-
-    def multiply(self, a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-        out: dict[int, int] = {}
-        for i, ca in a.items():
-            for j, cb in b.items():
-                for t, s in self.products[(i, j)].items():
-                    out[t] = out.get(t, 0) + ca * cb * s
-        for i in list(out):
-            order = self.basis[i].torsion_order
-            if order:
-                out[i] %= order
-            if not out[i]:
-                del out[i]
-        return out
-
-
-def affine_decompose(poset: IntersectionPoset, infinity_index: int) -> AffineTable:
+def affine_decompose(poset: IntersectionPoset, infinity_index: int) -> RingTable:
     """The cohomology ring of the affine complement with A_0 at infinity.
 
     Summands are indexed by the affine poset Q' (intersections not inside
     A_0); the summand at u is the homology of the pair
     (Δ[u,V], Δ[u,V) ∪ Δ(u,V]) shifted into degree 2n - 2 d(u) - m.
     """
+    poset.arr.check_member_index("infinity_index", infinity_index)
     a0_sub = poset.arr.subspaces[infinity_index]
     if a0_sub.dim - 1 != poset.n - 1:
         raise ValueError("infinity_index must name a hyperplane")
     a0 = poset.index_of(a0_sub)
-    qprime = [i for i in range(len(poset.elements)) if not poset.leq[i][a0]]
-    n = poset.n
-    complexes = {u: build_local_complex(poset, u) for u in qprime}
-    summaries = {u: homology(cx) for u, cx in complexes.items()}
-    basis: list[AffineBasisElement] = []
-    for u in qprime:
-        du = poset.d[u]
-        for m, dh in enumerate(summaries[u].degrees):
-            for idx, gen in enumerate(dh.generators):
-                basis.append(
-                    AffineBasisElement(u, m, idx, 2 * n - 2 * du - m, gen.order)
-                )
-    basis.sort(key=lambda b: (b.degree, poset.d[b.u], b.u, b.m, b.index))
-    ids_by_um: dict[tuple[int, int], list[int]] = {}
-    for i, b in enumerate(basis):
-        ids_by_um.setdefault((b.u, b.m), []).append(i)
+    n, top = poset.n, poset.top
+    summaries = {
+        u: homology(build_local_complex(poset, u))
+        for u in range(len(poset.elements)) if not poset.leq[u][a0]
+    }
 
-    def rep(b: AffineBasisElement) -> IntChain:
-        s = summaries[b.u]
-        return s.complex.chain(s.degrees[b.m].generators[b.index].vector, b.m)
+    def product(a, b, c, d):
+        w = poset.meet[a.summand][b.summand]
+        if w not in summaries or poset.d[w] != poset.d[a.summand] + poset.d[b.summand] - n:
+            return None
+        pushed = meet_push(poset, cross_shuffle(c, d))
+        return w, {s: v for s, v in pushed.items() if s[0] == w and s[-1] == top}
 
-    products: dict[tuple[int, int], dict[int, int]] = {}
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            w = poset.meet[a.u][b.u]
-            ok = w in qprime and poset.d[w] == poset.d[a.u] + poset.d[b.u] - n
-            if not ok:
-                products[(i, j)] = {}
-                continue
-            pushed = meet_push(poset, cross_shuffle(rep(a), rep(b)))
-            chain = {
-                s: v
-                for s, v in pushed.items()
-                if s[0] == w and s[-1] == poset.top
-            }
-            coords = summaries[w].class_of(chain, a.m + b.m)
-            entry: dict[int, int] = {}
-            for idx, val in enumerate(coords):
-                if val:
-                    entry[ids_by_um[(w, a.m + b.m)][idx]] = val
-            products[(i, j)] = entry
-    poincare = [0] * (2 * n + 1)
-    for b in basis:
-        if b.torsion_order == 0:
-            poincare[b.degree] += 1
-    return AffineTable(n, poset, qprime, complexes, summaries, basis, products, poincare)
+    return _ring(
+        poset, summaries, lambda u, m: 2 * n - 2 * poset.d[u] - m,
+        lambda b: (b.degree, poset.d[b.summand], b.summand, b.r, b.index), product,
+    )

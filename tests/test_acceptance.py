@@ -133,23 +133,14 @@ def test_criterion_03_euler_oracle():
 def test_criterion_04_crossing_pairs_vanishing_product():
     arr = crossed_pairs()
     table = ring_of(arr)
-    dec = table.decomposition
-    poset = dec.poset
+    poset = table.poset
     top = poset.top
     ids = {(poset.index_of(s)): name for s, name in zip(arr.subspaces, arr.names)}
     u, v, ut, vt = [poset.index_of(s) for s in arr.subspaces]
     k = 1
 
-    def ring_class(chain):
-        coords = dec.summaries[k].class_of(chain, 1)
-        basis_ids = [
-            i for i, b in enumerate(table.basis) if b.k == k and b.r == 1
-        ]
-        basis_ids.sort(key=lambda i: table.basis[i].index)
-        return {basis_ids[i]: c for i, c in enumerate(coords) if c}
-
-    first = ring_class({(u, top): 1, (v, top): -1})
-    second = ring_class({(ut, top): 1, (vt, top): -1})
+    first = table.element(k, 1, {(u, top): 1, (v, top): -1})
+    second = table.element(k, 1, {(ut, top): 1, (vt, top): -1})
     ok = bool(first) and bool(second)
     detail = "" if ok else "degree-3 classes vanish unexpectedly"
     if ok:

@@ -11,17 +11,9 @@ from projarr import (
     generic_hyperplane,
     hyperplane_section,
     parse_arrangement,
-    serialize_arrangement,
 )
 from projarr.arrangement import GenericityError, intersection_closure
 from projarr.poset import build_poset
-
-
-def test_parse_serialize_round_trip():
-    arr = crossed_pairs()
-    back = parse_arrangement(serialize_arrangement(arr))
-    assert back.subspaces == arr.subspaces
-    assert back.names == arr.names
 
 
 def test_parse_equations_form():
@@ -34,6 +26,13 @@ def test_parse_equations_form():
     arr = parse_arrangement(text)
     assert arr.subspaces[0].dim == 2
     assert arr.names == ("H",)
+    # span form: a named member given by spanning rows, rationals as strings
+    text = json.dumps(
+        {"ambient_dim": 3, "subspaces": [{"name": "L", "span": [["2", "0", "1/3"]]}]}
+    )
+    arr = parse_arrangement(text)
+    assert arr.subspaces == (Subspace.from_span(3, [(6, 0, 1)]),)
+    assert arr.names == ("L",)
 
 
 @pytest.mark.parametrize(

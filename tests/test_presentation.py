@@ -94,6 +94,19 @@ def test_presentation_requires_c_arrangement():
         build_presentation(build_poset(skew_lines(2)), 1)
 
 
+@pytest.mark.parametrize(
+    "arr, index, message",
+    [
+        (skew_lines(2), 5, "base_index 5 is out of range: member indices are 0..1"),
+        (skew_lines(2), -1, "base_index -1 is out of range: member indices are 0..1"),
+    ],
+    ids=["too-large", "negative"],
+)
+def test_presentation_rejects_base_index_out_of_range(arr, index, message):
+    with pytest.raises(ValueError, match=message):
+        build_presentation(build_poset(arr), 2, index)
+
+
 def test_graded_ranks_closed_forms():
     # m points in CP^1, c = 1: ranks (1, m-1)
     for m in (2, 3, 5):
@@ -166,9 +179,9 @@ def test_fk_gk_are_chain_maps():
 def test_chain_map_image_outside_target_raises():
     atomic = ChainComplex([[(0,)]], [[]])
     empty_target = ChainComplex([[]], [[]])
-    assert _chain_map_matrices(atomic, empty_target, lambda r, s: {}) == [[]]
+    assert _chain_map_matrices(atomic, empty_target, lambda r, s: {}, 0) == [[]]
     with pytest.raises(RuntimeError, match="outside the target complex"):
-        _chain_map_matrices(atomic, empty_target, lambda r, s: {(0,): 1})
+        _chain_map_matrices(atomic, empty_target, lambda r, s: {(0,): 1}, 0)
 
 
 def test_gk_level():

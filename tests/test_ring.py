@@ -1,4 +1,7 @@
+import pathlib
 from math import comb
+
+import pytest
 
 from arrangements import (
     boolean,
@@ -13,10 +16,14 @@ from projarr import (
     affine_decompose,
     build_poset,
     decompose,
+    parse_arrangement,
     poincare_polynomial,
     ring_table,
     verify_ring_axioms,
 )
+from projarr.linalg import make_matrix, rref
+
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
 
 def ring_of(arr):
@@ -141,7 +148,68 @@ def test_affine_boolean_torus():
 
 
 def test_affine_requires_hyperplane_at_infinity():
-    import pytest
-
     with pytest.raises(ValueError):
         affine_decompose(build_poset(skew_lines(2)), 0)
+
+
+@pytest.mark.parametrize(
+    "arr, index, message",
+    [
+        (boolean(2), 7, "infinity_index 7 is out of range: member indices are 0..2"),
+        (boolean(2), -1, "infinity_index -1 is out of range: member indices are 0..2"),
+        (empty(2), 0, "infinity_index 0: the arrangement has no members"),
+    ],
+    ids=["too-large", "negative", "no-members"],
+)
+def test_affine_rejects_member_index_out_of_range(arr, index, message):
+    with pytest.raises(ValueError, match=message):
+        affine_decompose(build_poset(arr), index)
+
+
+def pairing_ranks(table) -> dict[tuple[int, int], int]:
+    """Rank over Q of H^p (x) H^q -> H^{p+q} on the free part, per (p, q)."""
+    free: dict[int, list[int]] = {}
+    for i, b in enumerate(table.basis):
+        if not b.torsion_order:
+            free.setdefault(b.degree, []).append(i)
+    out = {}
+    for p, left in free.items():
+        for q, right in free.items():
+            target = free.get(p + q, [])
+            rows = [
+                [table.products[(i, j)].get(t, 0) for t in target]
+                for i in left
+                for j in right
+            ]
+            out[(p, q)] = len(rref(make_matrix(rows))) if target else 0
+    return out
+
+
+def torsion_by_degree(table) -> list[tuple[int, int]]:
+    return sorted((b.degree, b.torsion_order) for b in table.basis if b.torsion_order)
+
+
+def hyperplane_members():
+    for path in sorted(FIXTURES.glob("*.json")):
+        arr = parse_arrangement(path.read_text())
+        yield from ((path.stem, i) for i, s in enumerate(arr.subspaces) if s.dim == arr.n)
+
+
+HYPERPLANE_MEMBERS = list(hyperplane_members())
+
+
+def test_every_fixture_hyperplane_member_is_covered():
+    assert len(HYPERPLANE_MEMBERS) == 20
+
+
+@pytest.mark.parametrize("name, index", HYPERPLANE_MEMBERS, ids=lambda v: str(v))
+def test_affine_table_matches_projective_ring(name, index):
+    # a hyperplane A_0 gives CP^n minus the union = C^n minus the rest
+    poset = build_poset(parse_arrangement((FIXTURES / f"{name}.json").read_text()))
+    affine = affine_decompose(poset, index)
+    report = verify_ring_axioms(affine)
+    assert report.passed, report.failures[:3]
+    projective = ring_table(decompose(poset))
+    assert affine.poincare == projective.poincare
+    assert torsion_by_degree(affine) == torsion_by_degree(projective)
+    assert pairing_ranks(affine) == pairing_ranks(projective)
