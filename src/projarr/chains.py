@@ -95,16 +95,20 @@ class Generator:
     vector: list[int]
 
 
-Column = list[tuple[int, int]]  # the (row, value) nonzeros of a matrix column
+Column = dict[int, int]  # the row -> value nonzeros of a matrix column
 
 
-def _columns(m, cols) -> list[Column]:
-    """The nonzeros of the columns of m indexed by cols."""
-    return [[(k, row[j]) for k, row in enumerate(m) if row[j]] for j in cols]
+def _transpose(rows: list[dict[int, int]]) -> list[Column]:
+    """The columns of the square matrix with these sparse rows."""
+    cols: list[Column] = [{} for _ in rows]
+    for k, row in enumerate(rows):
+        for j, c in row.items():
+            cols[j][k] = c
+    return cols
 
 
 def _identity_columns(n: int) -> list[Column]:
-    return [[(j, 1)] for j in range(n)]
+    return [{j: 1} for j in range(n)]
 
 
 @dataclass
@@ -142,14 +146,14 @@ class DegreeHomology:
         the nonzero kernel coordinates only."""
         y = [0] * len(self._vinv)
         for j, x in entries:
-            for k, c in self._vinv[j]:
+            for k, c in self._vinv[j].items():
                 y[k] += x * c
         if any(y[:self._rank_out]):
             raise NotACycle("chain is not a cycle")
         wp = [0] * len(self._u2)
         for k, wk in enumerate(y[self._rank_out:]):
             if wk:
-                for i, c in self._u2[k]:
+                for i, c in self._u2[k].items():
                     wp[i] += c * wk
         coords = []
         pos = 0
@@ -201,7 +205,7 @@ def _image_in_kernel_coords(vinv: list[Column], rank_out: int, bnd_in) -> list[l
     for entries in columns:
         y = [0] * nr
         for col, x in entries:
-            for k, c in col:
+            for k, c in col.items():
                 y[k] += x * c
         if any(y[:rank_out]):
             raise RuntimeError("image column outside the cycle lattice")
@@ -222,10 +226,10 @@ def homology(cx: ChainComplex) -> HomologySummary:
             rank_out = 0
             vinv = kernel = _identity_columns(nr)
         else:
-            res = snf(out)
+            res = snf(out, left=False)
             rank_out = sum(1 for x in res.diagonal() if x != 0)
-            vinv = _columns(res.vinv, range(nr))
-            kernel = _columns(res.v, range(rank_out, nr))
+            vinv = _transpose(res.vinv_rows)
+            kernel = res.v_cols[rank_out:]
         s = nr - rank_out
         if s == 0:
             degrees.append(DegreeHomology.empty(vinv, rank_out))
@@ -233,8 +237,8 @@ def homology(cx: ChainComplex) -> HomologySummary:
         # present the image of the next boundary in kernel coordinates
         if cx.dim(r + 1):
             mmat = _image_in_kernel_coords(vinv, rank_out, cx.boundary_matrix(r + 1))
-            res2 = snf(mmat)
-            u2, u2inv = _columns(res2.u, range(s)), _columns(res2.uinv, range(s))
+            res2 = snf(mmat, right=False)
+            u2, u2inv = _transpose(res2.u_rows), res2.uinv_cols
             diag2 = res2.diagonal()
         else:
             u2 = u2inv = _identity_columns(s)
@@ -247,8 +251,8 @@ def homology(cx: ChainComplex) -> HomologySummary:
             if order == 1:
                 continue
             col = [0] * nr
-            for k, x in u2inv[i]:
-                for row, c in kernel[k]:
+            for k, x in u2inv[i].items():
+                for row, c in kernel[k].items():
                     col[row] += c * x
             eps = _leading_sign(col)
             signs.append(eps)

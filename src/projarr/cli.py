@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 from .arrangement import InputError, parse_arrangement
 from .oracles import (
@@ -41,9 +42,49 @@ def _read_input(path: str | None) -> str:
 
 def _emit(doc, fmt: str):
     if fmt == "json":
-        print(json.dumps(doc, indent=2))
+        print(_json(doc))
     else:
         _emit_text(doc)
+
+
+def _json(doc) -> str:
+    """`json.dumps(doc, indent=2)`, byte for byte.  With an indent the
+    standard library falls back to its pure-Python encoder; this writer
+    encodes strings with the C escaper and ints with `int.__repr__`."""
+    out: list[str] = []
+    _json_into(doc, out, "\n")
+    return "".join(out)
+
+
+def _json_into(value, out: list[str], newline: str) -> None:
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None or value is True or value is False:
+        out.append("null" if value is None else "true" if value else "false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif not isinstance(value, (dict, list, tuple)):
+        out.append(json.dumps(value))  # floats
+    elif not value:
+        out.append("{}" if isinstance(value, dict) else "[]")
+    elif isinstance(value, dict):
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, val in value.items():
+            out.append(sep)
+            out.append(encode_basestring_ascii(key if isinstance(key, str) else json.dumps(key)))
+            out.append(": ")
+            _json_into(val, out, inner)
+            sep = "," + inner
+        out.append(newline + "}")
+    else:
+        inner = newline + "  "
+        sep = "[" + inner
+        for val in value:
+            out.append(sep)
+            _json_into(val, out, inner)
+            sep = "," + inner
+        out.append(newline + "]")
 
 
 def _emit_text(doc, indent=0):

@@ -1,7 +1,10 @@
 """Exact rational linear algebra and integer Smith normal form.
 
-Everything here is exact: matrices are tuples of tuples of Fraction,
-integer matrices are lists of lists of int.  No floating point.
+Everything here is exact: rational matrices are tuples of tuples of
+Fraction.  Integer matrices are lists of lists of int, except the Smith
+normal form's unimodular transforms, which are sparse: lists of
+{index: value} dicts holding the rows or columns they are updated by.
+No floating point.
 """
 
 from __future__ import annotations
@@ -205,111 +208,139 @@ def int_det(a) -> Fraction:
     return det
 
 
+SparseVector = dict[int, int]  # index -> nonzero value
+
+
+def _axpy(y: SparseVector, x: SparseVector, f: int) -> None:
+    """y ← y + f·x on sparse vectors, dropping entries that cancel."""
+    for k, c in x.items():
+        s = y.get(k, 0) + f * c
+        if s:
+            y[k] = s
+        else:
+            del y[k]
+
+
 @dataclass
 class SNFResult:
-    """U·A·V = D with U, V unimodular and D diagonal, d_1 | d_2 | ...;
-    uinv and vinv are the exact inverses of U and V."""
+    """U·A·V = D with U, V unimodular and D diagonal, d_1 | d_2 | ...
 
-    u: list[list[int]]
+    The transforms are sparse and kept in the orientation snf updates
+    them in: U by rows and U⁻¹ by columns (the left pair), V by columns
+    and V⁻¹ by rows (the right pair).  A pair the caller did not ask for
+    is None."""
+
     d: list[list[int]]
-    v: list[list[int]]
-    uinv: list[list[int]]
-    vinv: list[list[int]]
+    u_rows: list[SparseVector] | None
+    uinv_cols: list[SparseVector] | None
+    v_cols: list[SparseVector] | None
+    vinv_rows: list[SparseVector] | None
 
     def diagonal(self) -> list[int]:
         return [self.d[i][i] for i in range(min(len(self.d), len(self.d[0]) if self.d else 0))]
 
 
-def snf(a) -> SNFResult:
+def _find_pivot(d, t: int):
+    """The first entry of least nonzero |x| in the trailing block d[t:, t:],
+    in row-major order; the scan stops at the first ±1."""
+    best, least = None, 0
+    for i in range(t, len(d)):
+        seg = d[i][t:]
+        if not any(seg):
+            continue
+        for j, x in enumerate(seg, t):
+            if x:
+                ax = abs(x)
+                if ax == 1:
+                    return i, j
+                if best is None or ax < least:
+                    best, least = (i, j), ax
+    return best
+
+
+def snf(a, *, left: bool = True, right: bool = True) -> SNFResult:
     """Smith normal form over Z, pivoting on minimal nonzero entries.
 
-    Every row step E applied to D and U is undone on the right of uinv
-    (uinv ← uinv·E⁻¹), and every column step F applied to D and V on the
-    left of vinv (vinv ← F⁻¹·vinv), so the inverses cost no elimination.
+    left carries U and U⁻¹, right carries V and V⁻¹.  Every row step E
+    applied to D and U is undone on the right of U⁻¹ (U⁻¹ ← U⁻¹·E⁻¹), and
+    every column step F applied to D and V on the left of V⁻¹
+    (V⁻¹ ← F⁻¹·V⁻¹), so the inverses cost no elimination.  Row steps touch
+    only the pivot row's nonzero columns, column steps only the pivot
+    column's nonzero rows, and the divisibility scan is skipped for a
+    unit pivot.
     """
     m = len(a)
     n = len(a[0]) if m else 0
-    d = [[int(x) for x in row] for row in a]
-    u = int_identity(m)
-    v = int_identity(n)
-    uinv = int_identity(m)
-    vinv = int_identity(n)
-
-    def swap_rows(i, j):
-        d[i], d[j] = d[j], d[i]
-        u[i], u[j] = u[j], u[i]
-        for row in uinv:
-            row[i], row[j] = row[j], row[i]
-
-    def swap_cols(i, j):
-        for row in d:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    def add_row(src, dst, f):
-        d[dst] = [x + f * y for x, y in zip(d[dst], d[src])]
-        u[dst] = [x + f * y for x, y in zip(u[dst], u[src])]
-        for row in uinv:
-            row[src] -= f * row[dst]
-
-    def add_col(src, dst, f):
-        for row in d:
-            row[dst] += f * row[src]
-        for row in v:
-            row[dst] += f * row[src]
-        vinv[src] = [x - f * y for x, y in zip(vinv[src], vinv[dst])]
-
-    def negate_row(i):
-        d[i] = [-x for x in d[i]]
-        u[i] = [-x for x in u[i]]
-        for row in uinv:
-            row[i] = -row[i]
+    d = [list(map(int, row)) for row in a]
+    u = [{i: 1} for i in range(m)] if left else None
+    uinv = [{i: 1} for i in range(m)] if left else None
+    v = [{j: 1} for j in range(n)] if right else None
+    vinv = [{j: 1} for j in range(n)] if right else None
 
     t = 0
     while t < min(m, n):
-        # locate minimal-absolute-value nonzero entry in the trailing block
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if d[i][j] != 0 and (best is None or abs(d[i][j]) < abs(d[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+        pivot = _find_pivot(d, t)
+        if pivot is None:
             break
-        bi, bj = best
+        bi, bj = pivot
         if bi != t:
-            swap_rows(t, bi)
+            d[t], d[bi] = d[bi], d[t]
+            if left:
+                u[t], u[bi] = u[bi], u[t]
+                uinv[t], uinv[bi] = uinv[bi], uinv[t]
         if bj != t:
-            swap_cols(t, bj)
+            for row in d:
+                row[t], row[bj] = row[bj], row[t]
+            if right:
+                v[t], v[bj] = v[bj], v[t]
+                vinv[t], vinv[bj] = vinv[bj], vinv[t]
+        prow = d[t]
+        p = prow[t]
+        pcols = [j for j in range(t + 1, n) if prow[j]]
         dirty = False
+        # row steps: row_i ← row_i − q·row_t
         for i in range(t + 1, m):
-            if d[i][t] != 0:
-                q = d[i][t] // d[t][t]
-                add_row(t, i, -q)
-                if d[i][t] != 0:
+            row = d[i]
+            x = row[t]
+            if x:
+                q = x // p
+                row[t] = x - q * p
+                for j in pcols:
+                    row[j] -= q * prow[j]
+                if left:
+                    _axpy(u[i], u[t], -q)
+                    _axpy(uinv[t], uinv[i], q)
+                if row[t]:
                     dirty = True
-        for j in range(t + 1, n):
-            if d[t][j] != 0:
-                q = d[t][j] // d[t][t]
-                add_col(t, j, -q)
-                if d[t][j] != 0:
-                    dirty = True
+        # column steps: col_j ← col_j − q·col_t
+        prows = [i for i in range(t, m) if d[i][t]]
+        for j in pcols:
+            q = prow[j] // p
+            for i in prows:
+                row = d[i]
+                row[j] -= q * row[t]
+            if right:
+                _axpy(v[j], v[t], -q)
+                _axpy(vinv[t], vinv[j], q)
+            if prow[j]:
+                dirty = True
         if dirty:
             continue
-        # divisibility: pivot must divide every remaining entry
-        offender = None
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if d[i][j] % d[t][t] != 0:
-                    offender = i
-                    break
+        if abs(p) != 1:
+            # divisibility: the pivot must divide every remaining entry
+            offender = next(
+                (i for i in range(t + 1, m) if any(x % p for x in d[i][t + 1:])), None
+            )
             if offender is not None:
-                break
-        if offender is not None:
-            add_row(offender, t, 1)
-            continue
-        if d[t][t] < 0:
-            negate_row(t)
+                d[t] = [x + y for x, y in zip(prow, d[offender])]
+                if left:
+                    _axpy(u[t], u[offender], 1)
+                    _axpy(uinv[offender], uinv[t], -1)
+                continue
+        if p < 0:
+            prow[t] = -p
+            if left:
+                u[t] = {k: -c for k, c in u[t].items()}
+                uinv[t] = {k: -c for k, c in uinv[t].items()}
         t += 1
-    return SNFResult(u, d, v, uinv, vinv)
+    return SNFResult(d, u, uinv, v, vinv)

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from projarr import cli
 from projarr.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -191,3 +192,37 @@ def test_negative_max_degree_exit_2(capsys):
     code, out = run(capsys, "presentation", "--c", "2", "--max-degree", "0", fixture("skew_lines"))
     assert code == 0
     assert [r["degree"] for r in json.loads(out)["ranks"]] == [0]
+
+
+EMIT_COMMANDS = [
+    ["poset"], ["homology"], ["ring"], ["ring", "--affine", "0"], ["ring", "--affine", "1"],
+    ["verify"], ["oracle"], ["presentation", "--c", "1"], ["presentation", "--c", "2"],
+    ["presentation", "--c", "3"],
+]
+
+
+def test_json_writer_matches_json_dumps_on_every_command_document(capsys, monkeypatch):
+    docs = []
+    monkeypatch.setattr(cli, "_emit", lambda doc, fmt: docs.append(doc))
+    for name in sorted(os.listdir(FIXTURES)):
+        for flags in EMIT_COMMANDS:
+            main(flags + [os.path.join(FIXTURES, name)])
+    assert len(docs) >= 5 * len(os.listdir(FIXTURES))
+    for doc in docs:
+        assert cli._json(doc) == json.dumps(doc, indent=2)
+
+
+def test_json_writer_matches_json_dumps_on_awkward_values():
+    doc = {
+        "text": ["ℂP³ ∖ ⋃A", 'say "hi"', "back\\slash", "tab\tnew\nline\x00\x1f\x7f", "", "😀"],
+        "empty": [{}, [], (), {"nested": [[], {}]}],
+        "constants": [None, True, False],
+        "ints": [0, -1, -(10**40), 10**40, 2**63],
+        "ünïcode kéy": {"": 1, "a\"b": [1, [2, [3]]]},
+        "tuple": (1, "two", (3,)),
+        "floats": [1.5, -0.0, 1e300],
+        "keys": {1: "int", None: "none", 2.5: "float", False: "bool"},
+    }
+    assert cli._json(doc) == json.dumps(doc, indent=2)
+    for scalar in ("x", 7, None, True, [], {}):
+        assert cli._json(scalar) == json.dumps(scalar, indent=2)

@@ -22,6 +22,7 @@ from projarr import (
     verify_ring_axioms,
 )
 from projarr.linalg import make_matrix, rref
+from projarr.oracles import compare
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
@@ -213,3 +214,16 @@ def test_affine_table_matches_projective_ring(name, index):
     assert affine.poincare == projective.poincare
     assert torsion_by_degree(affine) == torsion_by_degree(projective)
     assert pairing_ranks(affine) == pairing_ranks(projective)
+
+
+@pytest.mark.parametrize(
+    "arr", [boolean(4), generic_hyperplanes(4, 5)], ids=["boolean(4)", "generic_hyperplanes(4,5)"]
+)
+def test_betti_numbers_and_ring_at_hundreds_of_cells(arr):
+    # 750 cells over all levels: the sizes where a dense kernel was slow
+    dec = decompose(build_poset(arr))
+    assert sum(len(b) for s in dec.summaries for b in s.complex.bases) == 750
+    report = compare(dec)
+    assert report.os_oracle is not None
+    assert report.passed, report.failures
+    assert verify_ring_axioms(ring_table(dec)).passed

@@ -1,5 +1,6 @@
-"""Each pipeline stage runs once per CLI command, and cycles are
-coordinatized without dense matrix-vector products.
+"""Each pipeline stage runs once per CLI command, cycles are
+coordinatized without dense matrix-vector products, and homology asks
+Smith normal form only for the transforms it reads.
 
 Calls are counted by code object through `sys.setprofile`, so a stage
 reached through an alias (`from .poset import build_poset`) or a wrapper
@@ -11,9 +12,10 @@ import sys
 
 import pytest
 
+from projarr import chains
 from projarr.arrangement import intersection_closure
 from projarr.cli import main
-from projarr.linalg import int_matvec
+from projarr.linalg import int_identity, int_matvec
 from projarr.poset import build_poset
 from projarr.ring import decompose
 
@@ -86,3 +88,47 @@ def test_cycles_are_coordinatized_without_dense_matvec(capsys, flags):
         assert matvecs == 0, name
         succeeded += code == 0
     assert succeeded >= 2
+
+
+HOMOLOGY_FLAGS = [["ring"], ["ring", "--affine", "0"], ["presentation", "--c", "1"], ["presentation", "--c", "2"]]
+
+
+@pytest.mark.parametrize("flags", HOMOLOGY_FLAGS, ids=" ".join)
+def test_homology_builds_no_dense_identity(capsys, flags):
+    succeeded = 0
+    for name in sorted(os.listdir(FIXTURES)):
+        code, (identities,) = call_counts(flags + [os.path.join(FIXTURES, name)], (int_identity,))
+        assert identities == 0, name
+        succeeded += code == 0
+    assert succeeded >= 2
+
+
+@pytest.mark.parametrize("flags", HOMOLOGY_FLAGS, ids=" ".join)
+def test_homology_carries_only_the_transforms_it_reads(capsys, monkeypatch, flags):
+    # V, V⁻¹ from the SNF of a boundary ∂_r; U, U⁻¹ from that of the image
+    # presentation, a matrix homology builds itself
+    boundaries = {}  # id -> matrix, kept alive so that no id is reused
+    calls = []
+    original_homology, original_snf = chains.homology, chains.snf
+
+    def homology(cx):
+        boundaries.update((id(m), m) for m in cx.boundaries)
+        return original_homology(cx)
+
+    def snf(a, **kwargs):
+        res = original_snf(a, **kwargs)
+        calls.append((id(a) in boundaries, res))
+        return res
+
+    monkeypatch.setattr(chains, "snf", snf)
+    for module in ("ring", "presentation"):
+        monkeypatch.setattr(f"projarr.{module}.homology", homology)
+    for name in sorted(os.listdir(FIXTURES)):
+        main(flags + [os.path.join(FIXTURES, name)])
+    assert {of_boundary for of_boundary, _ in calls} == {True, False}
+    for of_boundary, res in calls:
+        left = (res.u_rows, res.uinv_cols)
+        right = (res.v_cols, res.vinv_rows)
+        carried, uncarried = (right, left) if of_boundary else (left, right)
+        assert None not in carried
+        assert uncarried == (None, None)
