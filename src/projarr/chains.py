@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import int_matvec, snf
+from .linalg import snf
 from .poset import IntersectionPoset
 
 IntChain = dict[tuple, int]
@@ -30,12 +30,15 @@ class NotACycle(ValueError):
     """Passed chain has nonzero relative boundary."""
 
 
+Column = dict[int, int]  # the row -> value nonzeros of a matrix column
+
+
 @dataclass
 class ChainComplex:
     """A finitely generated chain complex with a distinguished simplex basis."""
 
     bases: list[list[tuple]]  # bases[r]: sorted simplices of degree r
-    boundaries: list[list[list[int]]]  # boundaries[r]: C_r -> C_{r-1}
+    boundaries: list[list[Column]]  # boundaries[r][j]: ∂ of bases[r][j] in bases[r - 1]
 
     def __post_init__(self):
         self.index = [
@@ -49,41 +52,47 @@ class ChainComplex:
     def dim(self, r: int) -> int:
         return len(self.bases[r]) if 0 <= r <= self.top_degree else 0
 
-    def vector(self, chain: IntChain, r: int) -> list[int]:
-        v = [0] * self.dim(r)
-        for s, c in chain.items():
-            v[self.index[r][s]] = c
-        return v
-
     def chain(self, v, r: int) -> IntChain:
         return {self.bases[r][i]: int(c) for i, c in enumerate(v) if c}
 
-    def boundary_matrix(self, r: int):
-        if 0 < r <= self.top_degree:
-            return self.boundaries[r]
-        rows = self.dim(r - 1)
-        cols = self.dim(r)
-        return [[0] * cols for _ in range(rows)]
-
-    def apply_boundary(self, chain: IntChain, r: int) -> IntChain:
-        v = self.vector(chain, r)
-        w = int_matvec(self.boundary_matrix(r), v) if self.dim(r - 1) else []
-        return self.chain(w, r - 1) if r - 1 >= 0 else {}
+    def boundary(self, chain: IntChain, r: int) -> IntChain:
+        """∂ of a degree-r chain, summed over the columns at its simplices."""
+        if not chain:
+            return {}
+        index = self.index[r]
+        y = _sum_columns(self.boundaries[r], ((index[s], c) for s, c in chain.items()))
+        return {self.bases[r - 1][i]: x for i, x in y.items()}
 
 
-def boundary_matrix_from(faces, basis_prev, basis_cur):
-    """Assemble a boundary matrix from a simplex -> [(face, coeff)] rule."""
+def _sum_columns(columns: list[dict], entries) -> dict:
+    """Σ x·columns[j] over the (j, x) entries, one column read per entry,
+    with the entries that cancel dropped."""
+    y: dict = {}
+    for j, x in entries:
+        for k, c in columns[j].items():
+            y[k] = y.get(k, 0) + x * c
+    return {k: c for k, c in y.items() if c}
+
+
+def boundary_matrix_from(faces, basis_prev, basis_cur) -> list[Column]:
+    """The columns of ∂ on basis_cur from a simplex -> [(face, coeff)]
+    rule, with cancelled entries dropped."""
     idx = {s: i for i, s in enumerate(basis_prev)}
-    m = [[0] * len(basis_cur) for _ in basis_prev]
-    for j, s in enumerate(basis_cur):
+    cols = []
+    for s in basis_cur:
+        col: Column = {}
         for face, coeff in faces(s):
-            m[idx[face]][j] += coeff
-    return m
+            i = idx[face]
+            col[i] = col.get(i, 0) + coeff
+        if 0 in col.values():
+            col = {i: x for i, x in col.items() if x}
+        cols.append(col)
+    return cols
 
 
 def complex_from_faces(bases: list[list[tuple]], faces) -> ChainComplex:
     """The complex on bases whose boundary follows the face rule."""
-    boundaries = [[]] + [
+    boundaries = [[{} for _ in bases[0]]] + [
         boundary_matrix_from(faces, bases[r - 1], bases[r]) for r in range(1, len(bases))
     ]
     return ChainComplex(bases, boundaries)
@@ -93,9 +102,6 @@ def complex_from_faces(bases: list[list[tuple]], faces) -> ChainComplex:
 class Generator:
     order: int  # 0 for free, t > 1 for torsion
     vector: list[int]
-
-
-Column = dict[int, int]  # the row -> value nonzeros of a matrix column
 
 
 def _transpose(rows: list[dict[int, int]]) -> list[Column]:
@@ -125,7 +131,7 @@ class DegreeHomology:
 
     @classmethod
     def empty(cls, vinv: list[Column] | None = None, rank_out: int = 0) -> "DegreeHomology":
-        """H_r = 0; vinv and rank_out still let coordinatize reject non-cycles."""
+        """H_r = 0; vinv and rank_out still let class_of reject non-cycles."""
         return cls([], vinv or [], rank_out, [], [], [])
 
     @property
@@ -136,22 +142,15 @@ class DegreeHomology:
     def torsion(self) -> list[int]:
         return [g.order for g in self.generators if g.order > 1]
 
-    def coordinatize(self, zvec) -> list[int]:
-        """Coordinates of the cycle zvec in the generator basis."""
-        return self._coordinatize((j, x) for j, x in enumerate(zvec) if x)
-
     def _coordinatize(self, entries) -> list[int]:
         """Coordinates of the cycle with (index, coefficient) entries: the
         V⁻¹ columns at those indices are summed, then U₂ is applied over
         the nonzero kernel coordinates only."""
-        y = [0] * len(self._vinv)
-        for j, x in entries:
-            for k, c in self._vinv[j].items():
-                y[k] += x * c
-        if any(y[:self._rank_out]):
+        w = _kernel_coords(self._vinv, self._rank_out, entries)
+        if w is None:
             raise NotACycle("chain is not a cycle")
         wp = [0] * len(self._u2)
-        for k, wk in enumerate(y[self._rank_out:]):
+        for k, wk in enumerate(w):
             if wk:
                 for i, c in self._u2[k].items():
                     wp[i] += c * wk
@@ -183,6 +182,17 @@ class HomologySummary:
         return self.degree(r)._coordinatize(entries)
 
 
+def _kernel_coords(vinv: list[Column], rank_out: int, entries) -> list[int] | None:
+    """Rows rank_out: of V⁻¹·z for the chain z with (index, coefficient)
+    entries, summing only the V⁻¹ columns at those indices; None when z
+    is not a cycle, that is when rows :rank_out are not all zero."""
+    y = [0] * len(vinv)
+    for j, x in entries:
+        for k, c in vinv[j].items():
+            y[k] += x * c
+    return None if any(y[:rank_out]) else y[rank_out:]
+
+
 def _leading_sign(vec) -> int:
     for x in vec:
         if x:
@@ -190,27 +200,30 @@ def _leading_sign(vec) -> int:
     return 1
 
 
-def _image_in_kernel_coords(vinv: list[Column], rank_out: int, bnd_in) -> list[list[int]]:
-    """Rows rank_out: of V⁻¹·bnd_in, built from the nonzeros of bnd_in.
+def _image_in_kernel_coords(
+    vinv: list[Column], rank_out: int, bnd_in: list[Column]
+) -> list[list[int]]:
+    """Rows rank_out: of V⁻¹·bnd_in, summed over the nonzeros of each
+    column of bnd_in.
 
     Because ∂_r·V = U⁻¹·D, a cycle b has V⁻¹b = (0, …, 0, w) with w its
     coordinates in the kernel basis V[:, rank_out:]."""
-    nr = len(vinv)
-    columns = [[] for _ in bnd_in[0]]
-    for i, row in enumerate(bnd_in):
-        for j, x in enumerate(row):
-            if x:
-                columns[j].append((vinv[i], x))
     out = []
-    for entries in columns:
-        y = [0] * nr
-        for col, x in entries:
-            for k, c in col.items():
-                y[k] += x * c
-        if any(y[:rank_out]):
+    for col in bnd_in:
+        w = _kernel_coords(vinv, rank_out, col.items())
+        if w is None:
             raise RuntimeError("image column outside the cycle lattice")
-        out.append(y[rank_out:])
+        out.append(w)
     return [list(row) for row in zip(*out)]
+
+
+def _dense(columns: list[Column], nrows: int) -> list[list[int]]:
+    """The dense rows of the matrix with these columns."""
+    rows = [[0] * len(columns) for _ in range(nrows)]
+    for j, col in enumerate(columns):
+        for i, x in col.items():
+            rows[i][j] = x
+    return rows
 
 
 def homology(cx: ChainComplex) -> HomologySummary:
@@ -220,13 +233,12 @@ def homology(cx: ChainComplex) -> HomologySummary:
         if nr == 0:
             degrees.append(DegreeHomology.empty())
             continue
-        out = cx.boundary_matrix(r)
-        if len(out) == 0:
+        if cx.dim(r - 1) == 0:
             # no target: everything is a cycle, V = V⁻¹ = I
             rank_out = 0
             vinv = kernel = _identity_columns(nr)
         else:
-            res = snf(out, left=False)
+            res = snf(_dense(cx.boundaries[r], cx.dim(r - 1)), left=False)
             rank_out = sum(1 for x in res.diagonal() if x != 0)
             vinv = _transpose(res.vinv_rows)
             kernel = res.v_cols[rank_out:]
@@ -236,7 +248,7 @@ def homology(cx: ChainComplex) -> HomologySummary:
             continue
         # present the image of the next boundary in kernel coordinates
         if cx.dim(r + 1):
-            mmat = _image_in_kernel_coords(vinv, rank_out, cx.boundary_matrix(r + 1))
+            mmat = _image_in_kernel_coords(vinv, rank_out, cx.boundaries[r + 1])
             res2 = snf(mmat, right=False)
             u2, u2inv = _transpose(res2.u_rows), res2.uinv_cols
             diag2 = res2.diagonal()
@@ -298,7 +310,7 @@ def build_local_complex(poset: IntersectionPoset, u: int) -> ChainComplex:
     top = poset.top
     ids = [i for i in range(len(poset.elements)) if poset.leq[u][i]]
     if u == top:
-        return ChainComplex([[(top,)]], [[]])
+        return ChainComplex([[(top,)]], [[{}]])
     by_degree: list[list[tuple]] = [[]]
     chains = [(u, top)]
     by_degree.append(sorted(chains))

@@ -1,8 +1,8 @@
 """Exact rational linear algebra and integer Smith normal form.
 
 Everything here is exact: rational matrices are tuples of tuples of
-Fraction.  Integer matrices are lists of lists of int, except the Smith
-normal form's unimodular transforms, which are sparse: lists of
+Fraction.  The Smith normal form takes and returns its diagonal form as
+dense lists of int rows; its unimodular transforms are sparse: lists of
 {index: value} dicts holding the rows or columns they are updated by.
 No floating point.
 """
@@ -166,46 +166,7 @@ def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
 
 
 # ---------------------------------------------------------------------------
-# integer matrices and Smith normal form
-
-
-def int_identity(n: int) -> list[list[int]]:
-    return [[int(i == j) for j in range(n)] for i in range(n)]
-
-
-def int_matmul(a, b) -> list[list[int]]:
-    if not a:
-        return []
-    inner = len(b)
-    return [
-        [sum(ra[k] * b[k][j] for k in range(inner)) for j in range(len(b[0]) if b else 0)]
-        for ra in a
-    ]
-
-
-def int_matvec(a, v) -> list[int]:
-    return [sum(ra[k] * v[k] for k in range(len(v))) for ra in a]
-
-
-def int_det(a) -> Fraction:
-    """Determinant of a square integer (or rational) matrix, exactly."""
-    n = len(a)
-    m = [[Fraction(x) for x in row] for row in a]
-    det = Fraction(1)
-    for col in range(n):
-        pr = next((r for r in range(col, n) if m[r][col] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != col:
-            m[col], m[pr] = m[pr], m[col]
-            det = -det
-        det *= m[col][col]
-        inv = 1 / m[col][col]
-        for r in range(col + 1, n):
-            if m[r][col] != 0:
-                f = m[r][col] * inv
-                m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-    return det
+# integer Smith normal form
 
 
 SparseVector = dict[int, int]  # index -> nonzero value

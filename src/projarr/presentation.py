@@ -18,13 +18,14 @@ from itertools import combinations
 from .chains import (
     ChainComplex,
     IntChain,
+    _sum_columns,
     add_chains,
     build_relative_complex,
     complex_from_faces,
     homology,
     meet_chain,
 )
-from .linalg import int_det, int_matmul, make_matrix, rref
+from .linalg import make_matrix, rref, snf
 from .poset import IntersectionPoset, is_c_arrangement, minimal_dependent_sets
 from .ring import RingElement, RingTable
 
@@ -210,33 +211,31 @@ def gk_chain(poset: IntersectionPoset, base_index: int, simplex: tuple[int, ...]
 class ChainMapData:
     atomic: ChainComplex
     relative: ChainComplex
-    matrices: list[list[list[int]]]  # per degree r: dim C^rel_r x dim D^k_r
+    images: list[list[IntChain]]  # images[r][j]: the image chain of atomic.bases[r][j]
 
 
-def _target_vector(relative: ChainComplex, chain, r: int) -> list[int]:
-    """Coordinates of chain in the degree-r basis of relative."""
-    if chain and relative.dim(r) == 0:
-        raise RuntimeError(f"chain map image outside the target complex in degree {r}")
-    return relative.vector(chain, r)
-
-
-def _chain_map_matrices(atomic: ChainComplex, relative: ChainComplex, image, shift: int) -> list:
-    """Per degree r, the matrix D^k_r -> C^rel_{r+shift} of image(r, simplex)."""
-    mats = []
+def _chain_map_images(atomic: ChainComplex, relative: ChainComplex, image, shift: int) -> list:
+    """Per degree r, the chains image(r, simplex) in C^rel_{r+shift} of the
+    basis simplices of D^k_r, each checked to lie in the target basis."""
+    images = []
     for r in range(atomic.top_degree + 1):
-        mat = [[0] * atomic.dim(r) for _ in range(relative.dim(r + shift))]
-        for j, simplex in enumerate(atomic.bases[r]):
-            for i, val in enumerate(_target_vector(relative, image(r, simplex), r + shift)):
-                mat[i][j] = val
-        mats.append(mat)
-    return mats
+        target = relative.index[r + shift] if r + shift <= relative.top_degree else {}
+        chains = [image(r, simplex) for simplex in atomic.bases[r]]
+        for chain in chains:
+            outside = next((s for s in chain if s not in target), None)
+            if outside is not None:
+                raise RuntimeError(
+                    f"chain map image outside the target complex in degree {r + shift}: {outside}"
+                )
+        images.append(chains)
+    return images
 
 
 def fk_chain_map(poset: IntersectionPoset, k: int) -> ChainMapData:
     atomic = atomic_complex(poset, k)
     relative = build_relative_complex(poset, k)
-    mats = _chain_map_matrices(atomic, relative, lambda r, s: fk_chain(poset, s), 0)
-    return ChainMapData(atomic, relative, mats)
+    images = _chain_map_images(atomic, relative, lambda r, s: fk_chain(poset, s), 0)
+    return ChainMapData(atomic, relative, images)
 
 
 def gk_level(n: int, c: int, k: int) -> int:
@@ -256,14 +255,14 @@ def gk_chain_map(poset: IntersectionPoset, c: int, base_index: int, k: int) -> C
             return {}
         return gk_chain(poset, base_index, simplex)
 
-    mats = _chain_map_matrices(atomic, relative, image, 0)
-    return ChainMapData(atomic, relative, mats)
+    images = _chain_map_images(atomic, relative, image, 0)
+    return ChainMapData(atomic, relative, images)
 
 
-def homotopy_matrices(
+def homotopy_images(
     poset: IntersectionPoset, c: int, base_index: int, k: int,
     atomic: ChainComplex, relative: ChainComplex,
-) -> list[list[list[int]]]:
+) -> list[list[IntChain]]:
     """K: D^k_r -> C^rel_{r+1}, the cone over the base member below level a."""
     a = gk_level(poset.n, c, k)
 
@@ -272,19 +271,17 @@ def homotopy_matrices(
             return {}
         return fk_chain(poset, (base_index,) + simplex)
 
-    return _chain_map_matrices(atomic, relative, image, 1)
+    return _chain_map_images(atomic, relative, image, 1)
 
 
 def _is_chain_map(data: ChainMapData) -> bool:
-    for r in range(1, data.atomic.top_degree + 1):
-        lhs = int_matmul(data.matrices[r - 1], data.atomic.boundary_matrix(r))
-        if data.relative.dim(r - 1) and data.relative.dim(r):
-            rhs = int_matmul(data.relative.boundary_matrix(r), data.matrices[r])
-        else:
-            rhs = [[0] * data.atomic.dim(r) for _ in range(data.relative.dim(r - 1))]
-        if lhs != rhs:
-            return False
-    return True
+    """f(∂s) = ∂f(s) for every basis simplex s of the atomic complex."""
+    atomic, images = data.atomic, data.images
+    return all(
+        _sum_columns(images[r - 1], col.items()) == data.relative.boundary(images[r][j], r)
+        for r in range(1, atomic.top_degree + 1)
+        for j, col in enumerate(atomic.boundaries[r])
+    )
 
 
 @dataclass
@@ -313,58 +310,41 @@ def verify_fk_iso(poset: IntersectionPoset, k: int) -> VerificationReport:
             return VerificationReport(
                 False, f"torsion comparison in degree {r} unsupported"
             )
-        cols = []
-        for gen in da.generators:
-            avec = gen.vector
-            vec = [
-                sum(data.matrices[r][i][j] * avec[j] for j in range(data.atomic.dim(r)))
-                for i in range(data.relative.dim(r))
-            ]
-            cols.append(dr.coordinatize(vec))
+        cols = [
+            h_rel.class_of(_sum_columns(data.images[r], enumerate(gen.vector)), r)
+            for gen in da.generators
+        ]
         matrix = [[cols[j][i] for j in range(len(cols))] for i in range(free_r)]
-        if abs(int_det(matrix)) != 1:
+        if any(x != 1 for x in snf(matrix, left=False, right=False).diagonal()):
             return VerificationReport(False, f"induced map not unimodular in degree {r}")
     return VerificationReport(True)
 
 
 def verify_fg_homotopic(poset: IntersectionPoset, c: int, base_index: int, k: int) -> VerificationReport:
-    """Matrix identity f - g = K∂ + ∂K plus class-level agreement."""
+    """Chain identity f - g = K∂ + ∂K on every basis simplex, plus
+    class-level agreement."""
     fdata = fk_chain_map(poset, k)
     gdata = gk_chain_map(poset, c, base_index, k)
     if not _is_chain_map(fdata) or not _is_chain_map(gdata):
         return VerificationReport(False, "maps do not commute with boundaries")
-    kmats = homotopy_matrices(poset, c, base_index, k, fdata.atomic, fdata.relative)
     atomic, relative = fdata.atomic, fdata.relative
+    kimages = homotopy_images(poset, c, base_index, k, atomic, relative)
     for r in range(atomic.top_degree + 1):
-        rows = relative.dim(r)
-        cols = atomic.dim(r)
-        want = [
-            [fdata.matrices[r][i][j] - gdata.matrices[r][i][j] for j in range(cols)]
-            for i in range(rows)
-        ]
-        got = [[0] * cols for _ in range(rows)]
-        if r >= 1 and rows:
-            kd = int_matmul(kmats[r - 1], atomic.boundary_matrix(r))
-            got = [[got[i][j] + kd[i][j] for j in range(cols)] for i in range(rows)]
-        if relative.dim(r + 1) and rows:
-            dk = int_matmul(relative.boundary_matrix(r + 1), kmats[r])
-            got = [[got[i][j] + dk[i][j] for j in range(cols)] for i in range(rows)]
-        if want != got:
-            return VerificationReport(False, f"homotopy identity fails in degree {r}")
+        for j, col in enumerate(atomic.boundaries[r]):
+            want = add_chains(fdata.images[r][j], gdata.images[r][j], -1)
+            # col is empty in degree 0, where K∂ vanishes
+            got = add_chains(
+                _sum_columns(kimages[r - 1], col.items()), relative.boundary(kimages[r][j], r + 1)
+            )
+            if want != got:
+                return VerificationReport(False, f"homotopy identity fails in degree {r}")
     h_at = homology(atomic)
     h_rel = homology(relative)
     for r in range(atomic.top_degree + 1):
         for gen in h_at.degree(r).generators:
-            avec = atomic.vector(atomic.chain(gen.vector, r), r)
-            fvec = [
-                sum(fdata.matrices[r][i][j] * avec[j] for j in range(atomic.dim(r)))
-                for i in range(relative.dim(r))
-            ]
-            gvec = [
-                sum(gdata.matrices[r][i][j] * avec[j] for j in range(atomic.dim(r)))
-                for i in range(relative.dim(r))
-            ]
-            if h_rel.degree(r).coordinatize(fvec) != h_rel.degree(r).coordinatize(gvec):
+            f = _sum_columns(fdata.images[r], enumerate(gen.vector))
+            g = _sum_columns(gdata.images[r], enumerate(gen.vector))
+            if h_rel.class_of(f, r) != h_rel.class_of(g, r):
                 return VerificationReport(False, f"classes differ in degree {r}")
     return VerificationReport(True)
 

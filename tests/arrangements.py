@@ -65,3 +65,16 @@ def mixed() -> Arrangement:
     line = span(4, (1, 0, 0, 0), (0, 1, 0, 0))
     plane = span(4, (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
     return Arrangement(4, (line, plane))
+
+
+# c-arrangements with their c: the inputs of the presentation and of the
+# atomic-complex comparison maps
+C_FIXTURES = [
+    (points_cp1(2), 1),
+    (points_cp1(3), 1),
+    (points_cp1(5), 1),
+    (boolean(2), 1),
+    (boolean(3), 1),
+    (skew_lines(2), 2),
+    (skew_lines(3), 2),
+]

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from arrangements import (
+    C_FIXTURES,
     boolean,
     crossed_pairs,
     empty,
@@ -26,8 +27,8 @@ from projarr.chains import (
     meet_product,
     meet_push,
 )
-from projarr.linalg import int_matmul
 from projarr.poset import build_poset
+from projarr.presentation import atomic_complex
 
 FIXTURES = [
     empty(2),
@@ -60,21 +61,33 @@ def test_chain_arithmetic():
     assert add_chains(a, b) == {(2, 3): 2}
 
 
-def test_boundary_squares_to_zero_everywhere():
+def boundary_cases():
+    """Every relative and local complex of the fixtures, and every atomic
+    complex of the c-fixtures."""
     for arr in FIXTURES:
         poset = build_poset(arr)
         for k in range(arr.n + 1):
-            cx = build_relative_complex(poset, k)
-            for r in range(2, cx.top_degree + 1):
-                prod = int_matmul(cx.boundary_matrix(r - 1), cx.boundary_matrix(r))
-                assert all(all(x == 0 for x in row) for row in prod)
+            yield build_relative_complex(poset, k)
         for u in range(len(poset.elements)):
-            if poset.d[u] < 0:
-                continue
-            cx = build_local_complex(poset, u)
-            for r in range(2, cx.top_degree + 1):
-                prod = int_matmul(cx.boundary_matrix(r - 1), cx.boundary_matrix(r))
-                assert all(all(x == 0 for x in row) for row in prod)
+            if poset.d[u] >= 0:
+                yield build_local_complex(poset, u)
+    for arr, _ in C_FIXTURES:
+        poset = build_poset(arr)
+        for k in range(arr.n + 1):
+            yield atomic_complex(poset, k)
+
+
+def test_boundary_squares_to_zero_everywhere():
+    checked = 0
+    for cx in boundary_cases():
+        for r in range(cx.top_degree + 1):
+            assert len(cx.boundaries[r]) == cx.dim(r)
+            for s, column in zip(cx.bases[r], cx.boundaries[r]):
+                assert len(column) <= r + 1
+                assert 0 not in column.values()
+                assert cx.boundary(cx.boundary({s: 1}, r), r - 1) == {}
+                checked += 1
+    assert checked > 150
 
 
 def test_relative_complex_basis_shape():
@@ -101,50 +114,51 @@ def test_top_level_homology_is_unit():
 
 
 def test_synthetic_torsion():
-    cx = ChainComplex([[(0,)], [(0, 1)]], [[], [[2]]])
+    cx = ChainComplex([[(0,)], [(0, 1)]], [[{}], [{0: 2}]])
     summary = homology(cx)
     assert summary.degree(0).free_rank == 0
     assert summary.degree(0).torsion == [2]
     gen = summary.degree(0).generators[0]
-    assert summary.degree(0).coordinatize(gen.vector) == [1]
-    assert summary.degree(0).coordinatize([2]) == [0]  # 2x is a boundary
+    assert summary.class_of(cx.chain(gen.vector, 0), 0) == [1]
+    assert summary.class_of(cx.chain([2], 0), 0) == [0]  # 2x is a boundary
 
 
 def torsion_sublattice_complex():
     # ker d1 = <e1-e2, e2-e4, e3> is a proper sublattice of Z^4, and
     # im d2 = <k1-k2, 3(k2+k3)> in that basis, so H_1 = Z/3 + Z
-    d1 = [[-1, -1, 0, -1], [1, 1, 0, 1]]
-    d2 = [[1, 0], [-2, 3], [0, 3], [1, -3]]
+    # columns of d1 = [[-1, -1, 0, -1], [1, 1, 0, 1]]
+    d1 = [{0: -1, 1: 1}, {0: -1, 1: 1}, {}, {0: -1, 1: 1}]
+    # columns of d2 = [[1, 0], [-2, 3], [0, 3], [1, -3]]
+    d2 = [{0: 1, 1: -2, 3: 1}, {1: 3, 2: 3, 3: -3}]
     return ChainComplex(
         [[(0,), (1,)], [(0, 1), (0, 2), (0, 3), (0, 4)], [(0, 1, 2), (0, 1, 3)]],
-        [[], d1, d2],
+        [[{}, {}], d1, d2],
     )
 
 
 def test_synthetic_torsion_in_proper_cycle_sublattice():
     cx = torsion_sublattice_complex()
-    d2 = cx.boundaries[2]
     summary = homology(cx)
     h1 = summary.degree(1)
     assert h1.free_rank == 1 and h1.torsion == [3]
     assert summary.degree(0).free_rank == 1 and summary.degree(0).torsion == []
     assert summary.degree(2).generators == []
     for i, gen in enumerate(h1.generators):
-        assert cx.apply_boundary(cx.chain(gen.vector, 1), 1) == {}
+        assert cx.boundary(cx.chain(gen.vector, 1), 1) == {}
         unit = [int(i == j) for j in range(len(h1.generators))]
-        assert h1.coordinatize(gen.vector) == unit
+        assert summary.class_of(cx.chain(gen.vector, 1), 1) == unit
     torsion_gen = next(g for g in h1.generators if g.order == 3)
-    assert h1.coordinatize([3 * x for x in torsion_gen.vector]) == [0, 0]
+    assert summary.class_of(cx.chain([3 * x for x in torsion_gen.vector], 1), 1) == [0, 0]
     rng = random.Random(17)
     for _ in range(20):
         a, b = rng.randrange(-4, 5), rng.randrange(-4, 5)
-        boundary = [a * p + b * q for p, q in d2]
-        assert h1.coordinatize(boundary) == [0, 0]
+        boundary = cx.boundary(cx.chain([a, b], 2), 2)
+        assert summary.class_of(boundary, 1) == [0, 0]
 
 
 def test_homology_rejects_boundary_not_squaring_to_zero():
     # d1·d2 = [[1]] != 0: the image of d2 is not made of cycles
-    cx = ChainComplex([[(0,)], [(0, 1), (0, 2)], [(0, 1, 2)]], [[], [[1, 0]], [[1], [0]]])
+    cx = ChainComplex([[(0,)], [(0, 1), (0, 2)], [(0, 1, 2)]], [[{}], [{0: 1}, {}], [{0: 1}]])
     with pytest.raises(RuntimeError, match="outside the cycle lattice"):
         homology(cx)
 
@@ -184,7 +198,7 @@ def test_class_of_boundary_is_zero_on_random_chains():
                     break
                 vec = [rng.randrange(-3, 4) for _ in range(cx.dim(r))]
                 chain = cx.chain(vec, r)
-                bnd = cx.apply_boundary(chain, r)
+                bnd = cx.boundary(chain, r)
                 coords = summary.class_of(bnd, r - 1)
                 assert all(c == 0 for c in coords)
                 trials += 1
@@ -223,11 +237,11 @@ def test_class_of_recovers_coefficients_of_generators_plus_boundary():
                     z = add_chains(z, cx.chain(g.vector, r), a)
                 if cx.dim(r + 1):
                     c = cx.chain([rng.randrange(-3, 4) for _ in range(cx.dim(r + 1))], r + 1)
-                    z = add_chains(z, cx.apply_boundary(c, r + 1))
+                    z = add_chains(z, cx.boundary(c, r + 1))
                 want = [a % g.order if g.order else a for a, g in zip(coeffs, gens)]
                 assert summary.class_of(z, r) == want
                 checked += 1
-                cells = [s for s in cx.bases[r] if cx.apply_boundary({s: 1}, r)]
+                cells = [s for s in cx.bases[r] if cx.boundary({s: 1}, r)]
                 if cells:
                     with pytest.raises(NotACycle):
                         summary.class_of(add_chains(z, {rng.choice(cells): 1}), r)

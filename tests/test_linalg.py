@@ -4,14 +4,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+import sympy
 
 from arrangements import boolean, generic_hyperplanes
 from projarr import chains, parse_arrangement
 from projarr.linalg import (
     Subspace,
-    int_det,
-    int_identity,
-    int_matmul,
     kernel,
     make_matrix,
     rref,
@@ -123,6 +121,16 @@ def transforms(res):
     )
 
 
+def _eye(n):
+    """sympy's n×n identity as int rows."""
+    return [[int(x) for x in row] for row in sympy.eye(n).tolist()]
+
+
+def _matmul(a, b):
+    """The product a·b, computed by sympy, as int rows."""
+    return [[int(x) for x in row] for row in (sympy.Matrix(a) * sympy.Matrix(b)).tolist()]
+
+
 def _check_snf(a, left=True, right=True):
     res = snf(a, left=left, right=right)
     u, uinv, v, vinv = transforms(res)
@@ -139,22 +147,22 @@ def _check_snf(a, left=True, right=True):
         assert x >= 0
     padded = diag + [0] * max(rows, cols)
     if left:
-        assert abs(int_det(u)) == 1
-        assert int_matmul(u, uinv) == int_identity(rows)
+        assert abs(sympy.Matrix(u).det()) == 1
+        assert _matmul(u, uinv) == _eye(rows)
         # U·A = D·V⁻¹ and the rows of V⁻¹ are primitive: row i has content d_i
-        for i, row in enumerate(int_matmul(u, a)):
+        for i, row in enumerate(_matmul(u, a)):
             assert gcd(*row) == padded[i]
     else:
         assert u is None and uinv is None
     if right:
-        assert abs(int_det(v)) == 1
-        assert int_matmul(v, vinv) == int_identity(cols)
-        for j, col in enumerate(zip(*int_matmul(a, v))):
+        assert abs(sympy.Matrix(v).det()) == 1
+        assert _matmul(v, vinv) == _eye(cols)
+        for j, col in enumerate(zip(*_matmul(a, v))):
             assert gcd(*col) == padded[j]
     else:
         assert v is None and vinv is None
     if left and right:
-        assert int_matmul(int_matmul(u, a), v) == res.d
+        assert _matmul(_matmul(u, a), v) == res.d
 
 
 def test_snf_known_matrix():
@@ -184,7 +192,7 @@ def test_snf_inverses_on_edge_shapes():
         k = rng.randrange(1, min(m, n))
         left = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(m)]
         right = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(k)]
-        a = int_matmul(left, right)
+        a = _matmul(left, right)
         _check_snf(a)
         assert sum(1 for x in snf(a).diagonal() if x) <= k
 
@@ -206,7 +214,7 @@ def _reference_snf(a):
     m = len(a)
     n = len(a[0]) if m else 0
     d = [[int(x) for x in row] for row in a]
-    u, v, uinv, vinv = int_identity(m), int_identity(n), int_identity(m), int_identity(n)
+    u, v, uinv, vinv = _eye(m), _eye(n), _eye(m), _eye(n)
 
     def swap_rows(i, j):
         d[i], d[j] = d[j], d[i]
@@ -303,7 +311,7 @@ def test_snf_matches_dense_reference_on_random_and_edge_shapes():
         k = rng.randrange(1, min(m, n))
         left = [[rng.randrange(-3, 4) for _ in range(k)] for _ in range(m)]
         right = [[rng.randrange(-3, 4) for _ in range(n)] for _ in range(k)]
-        _assert_matches_reference(int_matmul(left, right))
+        _assert_matches_reference(_matmul(left, right))
     _assert_matches_reference([[2, 4, 4], [-6, 6, 12], [10, -4, -16]])
 
 

@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from arrangements import boolean, mixed, points_cp1, skew_lines
+from arrangements import C_FIXTURES, boolean, mixed, points_cp1, skew_lines
 from projarr import (
     build_presentation,
     graded_ranks,
@@ -12,15 +12,14 @@ from projarr import (
     verify_fk_iso,
     verify_presentation,
 )
-from projarr.chains import ChainComplex, homology
-from projarr.linalg import int_matmul
+from projarr.chains import ChainComplex, add_chains, homology
 from projarr.poset import build_poset, set_defect
 from projarr.ring import decompose, ring_table
 from projarr import presentation
 from projarr.presentation import (
     ChainMapData,
     NotCArrangement,
-    _chain_map_matrices,
+    _chain_map_images,
     atomic_complex,
     fk_chain_map,
     gk_chain_map,
@@ -33,17 +32,6 @@ from projarr.presentation import (
 def context(arr, c, base_index=0):
     poset = build_poset(arr)
     return pi_context(ring_table(decompose(poset)), build_presentation(poset, c, base_index))
-
-
-C_FIXTURES = [
-    (points_cp1(2), 1),
-    (points_cp1(3), 1),
-    (points_cp1(5), 1),
-    (boolean(2), 1),
-    (boolean(3), 1),
-    (skew_lines(2), 2),
-    (skew_lines(3), 2),
-]
 
 
 def test_monomial_multiplication():
@@ -157,6 +145,7 @@ def test_atomic_complex_shape():
 
 
 def test_fk_gk_are_chain_maps():
+    # f(∂s) = ∂f(s) for every basis simplex s of the atomic complex
     for arr, c in C_FIXTURES:
         poset = build_poset(arr)
         for k in range(arr.n + 1):
@@ -164,24 +153,26 @@ def test_fk_gk_are_chain_maps():
             gdata = gk_chain_map(poset, c, 0, k)
             for r in range(1, fdata.atomic.top_degree + 1):
                 for data in (fdata, gdata):
-                    lhs = int_matmul(
-                        data.matrices[r - 1], data.atomic.boundary_matrix(r)
-                    )
-                    if data.relative.dim(r - 1) and data.relative.dim(r):
-                        rhs = int_matmul(
-                            data.relative.boundary_matrix(r), data.matrices[r]
-                        )
-                    else:
-                        rhs = lhs
-                    assert lhs == rhs
+                    for j, s in enumerate(data.atomic.bases[r]):
+                        lhs = {}
+                        for face, x in data.atomic.boundary({s: 1}, r).items():
+                            face_image = data.images[r - 1][data.atomic.index[r - 1][face]]
+                            lhs = add_chains(lhs, face_image, x)
+                        rhs = data.relative.boundary(data.images[r][j], r)
+                        assert lhs == rhs
 
 
 def test_chain_map_image_outside_target_raises():
-    atomic = ChainComplex([[(0,)]], [[]])
+    atomic = ChainComplex([[(0,)]], [[{}]])
     empty_target = ChainComplex([[]], [[]])
-    assert _chain_map_matrices(atomic, empty_target, lambda r, s: {}, 0) == [[]]
+    assert _chain_map_images(atomic, empty_target, lambda r, s: {}, 0) == [[{}]]
     with pytest.raises(RuntimeError, match="outside the target complex"):
-        _chain_map_matrices(atomic, empty_target, lambda r, s: {(0,): 1}, 0)
+        _chain_map_images(atomic, empty_target, lambda r, s: {(0,): 1}, 0)
+    # a simplex missing from a non-empty target basis
+    target = ChainComplex([[(1,)]], [[{}]])
+    assert _chain_map_images(atomic, target, lambda r, s: {(1,): 3}, 0) == [[{(1,): 3}]]
+    with pytest.raises(RuntimeError, match=r"outside the target complex in degree 0: \(0,\)"):
+        _chain_map_images(atomic, target, lambda r, s: {(0,): 1}, 0)
 
 
 def test_gk_level():
@@ -204,15 +195,80 @@ def test_verify_fk_iso_reports_torsion_unsupported(monkeypatch):
     # H_1 = Z/2; the identity map between two copies is a chain map
     def torsion_complex():
         return ChainComplex(
-            [[(0,)], [(0, 1), (0, 2)], [(0, 1, 2)]], [[], [[1, 0]], [[0], [2]]]
+            [[(0,)], [(0, 1), (0, 2)], [(0, 1, 2)]], [[{}], [{0: 1}, {}], [{1: 2}]]
         )
 
     assert homology(torsion_complex()).degree(1).torsion == [2]
-    identity = [[[1]], [[1, 0], [0, 1]], [[1]]]
-    data = ChainMapData(torsion_complex(), torsion_complex(), identity)
+    cx = torsion_complex()
+    identity = [[{s: 1} for s in basis] for basis in cx.bases]
+    data = ChainMapData(cx, torsion_complex(), identity)
     monkeypatch.setattr(presentation, "fk_chain_map", lambda poset, k: data)
     report = verify_fk_iso(build_poset(points_cp1(2)), 0)
     assert (report.passed, report.detail) == (False, "torsion comparison in degree 1 unsupported")
+
+
+@pytest.mark.parametrize("factor, passed", [(2, False), (-1, True)])
+def test_verify_fk_iso_decides_unimodularity_by_invariant_factors(monkeypatch, factor, passed):
+    # C_0 = Z in both complexes: the chain map is multiplication by factor
+    # on H_0 = Z, an isomorphism only for a unit
+    def point():
+        return ChainComplex([[(0,)]], [[{}]])
+
+    data = ChainMapData(point(), point(), [[{(0,): factor}]])
+    monkeypatch.setattr(presentation, "fk_chain_map", lambda poset, k: data)
+    report = verify_fk_iso(build_poset(points_cp1(2)), 0)
+    detail = "" if passed else "induced map not unimodular in degree 0"
+    assert (report.passed, report.detail) == (passed, detail)
+
+
+def test_verify_fk_iso_reports_an_image_with_a_dropped_term(monkeypatch):
+    # dropping a term t of f(s), s of degree >= 1, changes ∂f(s) by ∂t != 0
+    original = presentation.fk_chain
+    planted = 0
+    for arr, _ in C_FIXTURES:
+        poset = build_poset(arr)
+        for k in range(arr.n + 1):
+            dropped = []
+
+            def fk_chain(poset, simplex):
+                chain = original(poset, simplex)
+                if simplex and chain and not dropped:
+                    dropped.append(simplex)
+                    chain = dict(list(chain.items())[:-1])
+                return chain
+
+            monkeypatch.setattr(presentation, "fk_chain", fk_chain)
+            report = verify_fk_iso(poset, k)
+            if dropped:
+                assert (report.passed, report.detail) == (
+                    False, "comparison map does not commute with boundaries"
+                ), (arr.names, k)
+                planted += 1
+    assert planted >= 10
+
+
+def test_verify_fg_homotopic_reports_a_flipped_gk_image(monkeypatch):
+    original = presentation.gk_chain
+    planted = 0
+    for arr, c in C_FIXTURES:
+        poset = build_poset(arr)
+        for k in range(arr.n + 1):
+            flipped = []
+
+            def gk_chain(poset, base_index, simplex):
+                chain = original(poset, base_index, simplex)
+                if chain and not flipped:
+                    flipped.append(simplex)
+                    chain = {s: -x for s, x in chain.items()}
+                return chain
+
+            monkeypatch.setattr(presentation, "gk_chain", gk_chain)
+            report = verify_fg_homotopic(poset, c, 0, k)
+            if flipped:
+                assert not report.passed, (arr.names, k)
+                assert report.detail.startswith("homotopy identity fails in degree"), report.detail
+                planted += 1
+    assert planted >= 10
 
 
 def test_verify_fg_homotopic_all_levels():
