@@ -1,15 +1,16 @@
 """Arrangement data model, JSON I/O, and generic hyperplane sections.
 
 An arrangement is a finite set of proper nonzero linear subspaces of
-C^{n+1}, handled through exact rational bases.  The projective picture
-(points of CP^n) is implicit: a subspace of linear dimension d+1 has
-projective dimension d.
+C^{n+1}, given by exact rational rows and stored in integer canonical
+form.  The projective picture (points of CP^n) is implicit: a subspace
+of linear dimension d+1 has projective dimension d.
 """
 
 from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -72,7 +73,7 @@ class Arrangement:
 
 @dataclass(frozen=True)
 class Hyperplane:
-    functional: tuple[Fraction, ...]
+    functional: tuple[int, ...]
 
     def __post_init__(self):
         if all(x == 0 for x in self.functional):
@@ -93,9 +94,19 @@ class Hyperplane:
         return Subspace.from_equations(self.ambient_dim, [self.functional])
 
 
+# Fraction("1e999999999") computes 10**999999999.  Digit strings are
+# already capped by Python's 4,300-digit int limit; exponents get the same cap.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)")
+
+
 def _parse_rational(x) -> Fraction:
+    text = str(x)
     try:
-        return Fraction(str(x))
+        exp = _EXPONENT.search(text)
+        if exp and int(exp[1]) > _MAX_EXPONENT:
+            raise ValueError(f"exponent beyond ±{_MAX_EXPONENT}")
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as e:
         raise InputError(f"malformed rational {x!r}: {e}") from None
 
@@ -198,9 +209,7 @@ def generic_hyperplane(poset: IntersectionPoset, seed: int = 0) -> Hyperplane:
     while True:
         attempt += 1
         bound = 10 * attempt
-        coeffs = tuple(
-            Fraction(rng.randint(-bound, bound)) for _ in range(poset.arr.ambient_dim)
-        )
+        coeffs = tuple(rng.randint(-bound, bound) for _ in range(poset.arr.ambient_dim))
         if all(x == 0 for x in coeffs):
             continue
         h = Hyperplane(coeffs)
@@ -220,13 +229,10 @@ def restrict_to_hyperplane(s: Subspace, h: Hyperplane) -> Subspace:
     its entries with column p dropped.
     """
     cut = subspace_intersection(s, h.kernel_subspace)
+    if not h.vanishes_on(cut):
+        raise RuntimeError("vector not in hyperplane frame")
     p = next(j for j, x in enumerate(h.functional) if x != 0)
-    new_rows = []
-    for v in cut.basis:
-        if sum(f * x for f, x in zip(h.functional, v)) != 0:
-            raise RuntimeError("vector not in hyperplane frame")
-        new_rows.append(v[:p] + v[p + 1:])
-    return Subspace.from_span(h.ambient_dim - 1, new_rows)
+    return Subspace.from_span(h.ambient_dim - 1, [v[:p] + v[p + 1:] for v in cut.basis])
 
 
 def hyperplane_section(poset: IntersectionPoset, h: Hyperplane) -> Arrangement:

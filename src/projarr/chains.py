@@ -311,12 +311,10 @@ def build_local_complex(poset: IntersectionPoset, u: int) -> ChainComplex:
     ids = [i for i in range(len(poset.elements)) if poset.leq[u][i]]
     if u == top:
         return ChainComplex([[(top,)]], [[{}]])
-    by_degree: list[list[tuple]] = [[]]
-    chains = [(u, top)]
-    by_degree.append(sorted(chains))
-    frontier = chains
+    by_degree: list[list[tuple]] = [[], [(u, top)]]
+    frontier = by_degree[1]
     while frontier:
-        new = []
+        new = set()
         for chain in frontier:
             for w in ids:
                 if w in chain:
@@ -325,13 +323,10 @@ def build_local_complex(poset: IntersectionPoset, u: int) -> ChainComplex:
                 for pos in range(len(chain) - 1):
                     lo, hi = chain[pos], chain[pos + 1]
                     if poset.leq[lo][w] and poset.leq[w][hi] and w != lo and w != hi:
-                        cand = chain[: pos + 1] + (w,) + chain[pos + 1:]
-                        if cand not in new:
-                            new.append(cand)
-        new = sorted(set(new))
-        if new:
-            by_degree.append(new)
-        frontier = new
+                        new.add(chain[: pos + 1] + (w,) + chain[pos + 1:])
+        frontier = sorted(new)
+        if frontier:
+            by_degree.append(frontier)
 
     def faces(s):
         return [(s[:i] + s[i + 1:], (-1) ** i) for i in range(1, len(s) - 1)]

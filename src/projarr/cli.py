@@ -13,6 +13,7 @@ import sys
 from json.encoder import encode_basestring_ascii
 
 from .arrangement import InputError, parse_arrangement
+from .linalg import rational_view
 from .oracles import (
     OracleError,
     compare,
@@ -120,7 +121,7 @@ def cmd_poset(arr, args):
                 "id": i,
                 "name": member_ids.get(i),
                 "d": poset.d[i],
-                "basis": [[str(x) for x in row] for row in poset.elements[i].basis],
+                "basis": [[str(x) for x in row] for row in rational_view(poset.elements[i].basis)],
             }
             for i in range(len(poset.elements))
         ],

@@ -1,8 +1,10 @@
-"""Exact rational linear algebra and integer Smith normal form.
+"""Exact subspace algebra and integer Smith normal form.
 
-Everything here is exact: rational matrices are tuples of tuples of
-Fraction.  The Smith normal form takes and returns its diagonal form as
-dense lists of int rows; its unimodular transforms are sparse: lists of
+Everything here is exact and in integers.  A subspace basis is stored as
+its rational RREF with each row scaled to a primitive integer row with a
+positive pivot (see `rref`); `rational_view` reads the RREF back off.
+The Smith normal form takes and returns its diagonal form as dense lists
+of int rows; its unimodular transforms are sparse: lists of
 {index: value} dicts holding the rows or columns they are updated by.
 No floating point.
 """
@@ -14,7 +16,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 
-Row = tuple[Fraction, ...]
+Row = tuple[int, ...]
 Matrix = tuple[Row, ...]
 
 
@@ -22,31 +24,24 @@ class AmbientMismatch(ValueError):
     """Subspaces of different ambient dimensions were combined."""
 
 
-def make_matrix(rows) -> Matrix:
-    """Coerce an iterable of rows (ints, strings, Fractions) to a Matrix."""
-    out = tuple(tuple(Fraction(x) for x in row) for row in rows)
-    if out:
-        width = len(out[0])
-        if any(len(r) != width for r in out):
-            raise ValueError("ragged matrix")
-    return out
-
-
 def _primitive(row) -> list[int]:
-    """The row scaled to integers with content 1; a zero row stays zero."""
+    """The row of ints or Fractions scaled to integers with content 1; a
+    zero row stays zero."""
     den = lcm(*(x.denominator for x in row))
     ints = [x.numerator * (den // x.denominator) for x in row]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
 
-def rref(m: Matrix) -> Matrix:
-    """Reduced row echelon form with zero rows removed and pivots 1.
+def rref(m) -> Matrix:
+    """The integer canonical form of the row space of m: the rows of its
+    reduced row echelon form, zero rows removed, each scaled to a
+    primitive integer row with a positive pivot.
 
     Fraction-free: rows are scaled to primitive integer rows, a row step
     is r ← (a/g)·r − (b/g)·pivot_row with g = gcd(a, b), and every changed
-    row is divided by its content.  The unique rational RREF is read off
-    at the end as x / pivot.
+    row is divided by its content.  Only the pivot signs are fixed at the
+    end.
     """
     rows = [r for r in map(_primitive, m) if any(r)]
     pivots: list[int] = []
@@ -70,91 +65,91 @@ def rref(m: Matrix) -> Matrix:
         if len(pivots) == len(rows):
             break
     return tuple(
-        tuple(Fraction(x, row[p]) for x in row) for row, p in zip(rows, pivots)
+        tuple(-x for x in row) if row[p] < 0 else tuple(row) for row, p in zip(rows, pivots)
     )
 
 
+def rational_view(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
+    """The rational RREF (pivots 1) of a matrix in integer canonical form."""
+    out = []
+    for row in m:
+        pivot = next(filter(None, row))
+        out.append(tuple(Fraction(x, pivot) for x in row))
+    return tuple(out)
+
+
 def _kernel_of_rref(red: Matrix, ncols: int) -> Matrix:
-    """Null space basis of a matrix already in RREF: one row per free column."""
-    pivots = [next(j for j, x in enumerate(row) if x != 0) for row in red]
-    free = [j for j in range(ncols) if j not in pivots]
+    """Null space basis of a matrix in integer canonical form, one integer
+    row per free column, scaled by the lcm of the pivots."""
+    pivots = [next(j for j, x in enumerate(row) if x) for row in red]
+    scale = lcm(*(row[p] for row, p in zip(red, pivots)))
     basis = []
-    for j in free:
-        vec = [Fraction(0)] * ncols
-        vec[j] = Fraction(1)
-        for i, p in enumerate(pivots):
-            vec[p] = -red[i][j]
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        vec = [0] * ncols
+        vec[j] = scale
+        for row, p in zip(red, pivots):
+            vec[p] = -row[j] * (scale // row[p])
         basis.append(tuple(vec))
     return tuple(basis)
 
 
-def kernel(m: Matrix, ncols: int) -> Matrix:
-    """Basis (as rows) of the right null space of m acting on Q^ncols."""
+def kernel(m, ncols: int) -> Matrix:
+    """Basis (as integer rows) of the right null space of m acting on Q^ncols."""
     return _kernel_of_rref(rref(m), ncols)
+
+
+def _checked(ambient_dim: int, rows, what: str) -> list:
+    """The rows as a list, after checking that every one has ambient_dim entries."""
+    rows = list(rows)
+    if any(len(r) != ambient_dim for r in rows):
+        raise ValueError(f"{what} rows have wrong length")
+    return rows
 
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear subspace of Q^ambient_dim in canonical (RREF) form.
+    """A linear subspace of Q^ambient_dim, its basis in integer canonical
+    form (see `rref`); `from_span` and `from_equations` take rows of ints
+    or Fractions.
 
-    Equality and hashing go through the RREF basis, so subspaces compare
-    as sets of vectors; the cached `annihilator` takes no part in them.
-    The hash is computed once per subspace, because hashing its Fraction
-    entries costs a modular inverse each.
+    The form is unique, so equality and hashing go through the basis and
+    subspaces compare as sets of vectors; the cached `annihilator` takes
+    no part in them.
     """
 
     ambient_dim: int
     basis: Matrix
 
-    def __hash__(self) -> int:
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.ambient_dim, self.basis))
-
     @staticmethod
     def from_span(ambient_dim: int, rows) -> "Subspace":
-        m = make_matrix(rows)
-        if m and len(m[0]) != ambient_dim:
-            raise ValueError("span rows have wrong length")
-        return Subspace(ambient_dim, rref(m))
+        return Subspace(ambient_dim, rref(_checked(ambient_dim, rows, "span")))
 
     @staticmethod
     def from_equations(ambient_dim: int, rows) -> "Subspace":
-        m = make_matrix(rows)
-        if m and len(m[0]) != ambient_dim:
-            raise ValueError("equation rows have wrong length")
+        m = _checked(ambient_dim, rows, "equation")
         return Subspace(ambient_dim, rref(kernel(m, ambient_dim)))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
-        eye = [[Fraction(int(i == j)) for j in range(ambient_dim)] for i in range(ambient_dim)]
-        return Subspace(ambient_dim, make_matrix(eye))
-
-    @staticmethod
-    def zero(ambient_dim: int) -> "Subspace":
-        return Subspace(ambient_dim, ())
+        eye = tuple(tuple(int(i == j) for j in range(ambient_dim)) for i in range(ambient_dim))
+        return Subspace(ambient_dim, eye)
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains_vector(self, v) -> bool:
-        v = tuple(Fraction(x) for x in v)
-        stacked = rref(self.basis + (v,))
-        return len(stacked) == self.dim
-
     def contains(self, other: "Subspace") -> bool:
-        """other ⊆ self."""
+        """other ⊆ self: stacking other's basis under self's adds no rank."""
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("ambient dimensions differ")
-        return all(self.contains_vector(r) for r in other.basis)
+        return len(rref(self.basis + other.basis)) == self.dim
 
     @cached_property
     def annihilator(self) -> Matrix:
-        """Rows spanning the functionals vanishing on this subspace, read
-        off the RREF basis once per subspace."""
+        """Integer rows spanning the functionals vanishing on this
+        subspace, read off the canonical basis once per subspace."""
         return _kernel_of_rref(self.basis, self.ambient_dim)
 
 

@@ -20,13 +20,13 @@ from .arrangement import (
     intersection_closure,
     restrict_to_hyperplane,
 )
-from .linalg import Subspace
+from .linalg import Subspace, rational_view
 
 
 @dataclass
 class IntersectionPoset:
     arr: Arrangement
-    elements: list[Subspace]  # sorted by (descending d, basis entries)
+    elements: list[Subspace]  # sorted by (descending d, rational RREF entries)
     d: list[int]
     leq: list[list[bool]]  # leq[i][j] iff elements[i] ⊆ elements[j]
     meet: list[list[int]]  # index of elements[i] ∩ elements[j]
@@ -67,7 +67,7 @@ class IntersectionPoset:
 
 
 def _sort_key(s: Subspace):
-    return (-s.dim, s.basis)
+    return (-s.dim, rational_view(s.basis))
 
 
 def build_poset(arr: Arrangement) -> IntersectionPoset:

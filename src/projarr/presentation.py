@@ -12,7 +12,6 @@ through A_0, and x^c.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .chains import (
@@ -25,7 +24,7 @@ from .chains import (
     homology,
     meet_chain,
 )
-from .linalg import make_matrix, rref, snf
+from .linalg import rref, snf
 from .poset import IntersectionPoset, is_c_arrangement, minimal_dependent_sets
 from .ring import RingElement, RingTable
 
@@ -146,11 +145,11 @@ def graded_ranks(p: Presentation, max_degree: int) -> list[int]:
                 multiple = poly_mul_monomial(mono, rel, p.c)
                 if not multiple:
                     continue
-                row = [Fraction(0)] * len(monos)
+                row = [0] * len(monos)
                 for mo, coeff in multiple.items():
-                    row[index[mo]] = Fraction(coeff)
+                    row[index[mo]] = coeff
                 rows.append(row)
-        quotient_rank = len(rref(make_matrix(rows))) if rows else 0
+        quotient_rank = len(rref(rows)) if rows else 0
         ranks.append(len(monos) - quotient_rank)
     return ranks
 
@@ -427,12 +426,12 @@ def verify_presentation(ctx: PiContext, max_degree: int | None = None) -> Presen
         rows = []
         for mono in ctx.presentation.monomials(degree):
             img = pi_image(ctx, mono)
-            row = [Fraction(0)] * len(free_ids)
+            row = [0] * len(free_ids)
             for i, v in img.items():
                 if ctx.table.basis[i].torsion_order == 0:
-                    row[pos[i]] = Fraction(v)
+                    row[pos[i]] = v
             rows.append(row)
-        pi_rank = len(rref(make_matrix(rows))) if rows and free_ids else 0
+        pi_rank = len(rref(rows)) if rows and free_ids else 0
         rows_report.append((degree, pi_rank, ranks_ri[degree], engine_rank))
         if not (pi_rank == ranks_ri[degree] == engine_rank):
             ok = False

@@ -1,9 +1,10 @@
 import json
 import os
+from fractions import Fraction
 
 import pytest
 
-from projarr import cli
+from projarr import Subspace, cli
 from projarr.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -150,6 +151,35 @@ def test_non_string_name_exit_2(capsys, tmp_path):
     code, out = run(capsys, "poset", str(bad))
     assert code == 0
     assert "P" in [e["name"] for e in json.loads(out)["elements"]]
+
+
+def test_huge_exponent_exit_2_before_any_power(capsys, tmp_path, monkeypatch):
+    # Fraction("1e999999999") would compute 10**999999999, so such a
+    # literal must be refused before it reaches Fraction
+    from projarr import arrangement
+
+    parsed = []
+
+    def recording_fraction(text):
+        parsed.append(text)
+        if "999999999" in text:
+            raise RuntimeError(f"Fraction({text!r}) would compute the power")
+        return Fraction(text)
+
+    monkeypatch.setattr(arrangement, "Fraction", recording_fraction)
+    path = tmp_path / "exponent.json"
+    for literal in ("1e999999999", "1e-999999999"):
+        path.write_text(json.dumps({"ambient_dim": 2, "subspaces": [{"span": [["1", literal]]}]}))
+        assert main(["poset", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed rational '{literal}': exponent beyond ±4300\n"
+    assert parsed == ["1", "1"]
+    path.write_text(json.dumps({"ambient_dim": 2, "subspaces": [{"span": [["-47e-2", "1"]]}]}))
+    arr = arrangement.parse_arrangement(path.read_text())
+    assert parsed[-2:] == ["-47e-2", "1"]
+    assert arr.subspaces == (Subspace.from_span(2, [(Fraction(-47, 100), 1)]),)
+    assert arr.subspaces[0].basis == ((47, -100),)
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from projarr import chains, parse_arrangement
 from projarr.linalg import (
     Subspace,
     kernel,
-    make_matrix,
+    rational_view,
     rref,
     snf,
     subspace_intersection,
@@ -23,8 +23,9 @@ FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
 
 def test_rref_pivots_are_one_and_staircase():
-    m = make_matrix([[2, 4, 6], [1, 2, 4], [0, 0, 2]])
-    red = rref(m)
+    m = [[2, 4, 6], [1, 2, 4], [0, 0, 2]]
+    rows = rref(m)
+    red = rational_view(rows)
     pivots = []
     for row in red:
         j = next(i for i, x in enumerate(row) if x != 0)
@@ -34,6 +35,11 @@ def test_rref_pivots_are_one_and_staircase():
     # pivot columns are elementary
     for r, j in enumerate(pivots):
         assert all(red[i][j] == (1 if i == r else 0) for i in range(len(red)))
+    # the stored rows are primitive integer multiples with positive pivots
+    for row, rat, j in zip(rows, red, pivots):
+        assert all(type(x) is int for x in row)
+        assert gcd(*row) == 1 and row[j] > 0
+        assert all(x == row[j] * y for x, y in zip(row, rat))
 
 
 def test_rref_idempotent_on_random_matrices():
@@ -41,15 +47,13 @@ def test_rref_idempotent_on_random_matrices():
     for _ in range(25):
         rows = rng.randrange(1, 5)
         cols = rng.randrange(1, 5)
-        m = make_matrix(
-            [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
-        )
+        m = [[rng.randrange(-4, 5) for _ in range(cols)] for _ in range(rows)]
         red = rref(m)
         assert rref(red) == red
 
 
 def test_kernel_vectors_annihilated():
-    m = make_matrix([[1, 2, 3], [0, 1, 1]])
+    m = [[1, 2, 3], [0, 1, 1]]
     for v in kernel(m, 3):
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
@@ -75,7 +79,6 @@ def test_subspace_contains_and_dims():
     assert plane.contains(line)
     assert not line.contains(plane)
     assert Subspace.full(3).dim == 3
-    assert Subspace.zero(3).dim == 0
     assert subspace_intersection(line, plane) == line
 
 
@@ -197,14 +200,17 @@ def test_snf_inverses_on_edge_shapes():
         assert sum(1 for x in snf(a).diagonal() if x) <= k
 
 
-def test_make_matrix_rejects_ragged():
-    with pytest.raises(ValueError):
-        make_matrix([[1, 2], [3]])
+def test_span_and_equations_reject_a_ragged_row():
+    for build in (Subspace.from_span, Subspace.from_equations):
+        for rows in ([[1, 2], [3]], [[1, 2], [3, 4, 5]], [[1, 2, 3]]):
+            with pytest.raises(ValueError, match="wrong length"):
+                build(2, rows)
 
 
 def test_fraction_entries_survive():
-    m = make_matrix([[Fraction(1, 2), 1]])
-    assert rref(m) == ((Fraction(1), Fraction(2)),)
+    m = [[Fraction(1, 2), 1]]
+    assert rref(m) == ((1, 2),)
+    assert rational_view(rref(m)) == ((Fraction(1), Fraction(2)),)
 
 
 def _reference_snf(a):

@@ -3,6 +3,7 @@ row reduction and ranks, and brute-force intersection over subfamilies."""
 
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 
 import sympy
 from hypothesis import HealthCheck, assume, example, given, settings
@@ -15,7 +16,7 @@ from projarr.arrangement import (
     intersection_closure,
     restrict_to_hyperplane,
 )
-from projarr.linalg import Subspace, make_matrix, rref, subspace_intersection
+from projarr.linalg import Subspace, rational_view, rref, subspace_intersection
 from projarr.poset import build_poset, verify_eta
 
 BIG = 10**6
@@ -69,7 +70,34 @@ def sympy_rank(rows) -> int:
 @example([[Fraction(BIG - 1, BIG)], [Fraction(0)], [Fraction(-3, 7)]])
 @example([[Fraction(-BIG, 3), Fraction(1, BIG)], [Fraction(BIG, BIG - 3), Fraction(0)], [Fraction(2), Fraction(5, BIG)]])
 def test_rref_matches_sympy(m):
-    assert rref(make_matrix(m)) == sympy_rref(m)
+    assert rational_view(rref(m)) == sympy_rref(m)
+
+
+negative_rationals = st.builds(Fraction, st.integers(-BIG, -1), st.integers(1, BIG))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(rational_matrices(), st.lists(negative_rationals, min_size=5, max_size=5))
+@example([[Fraction(-2), Fraction(4), Fraction(-6)]], [Fraction(-1)] * 5)
+@example([[Fraction(0), Fraction(-3, 2)], [Fraction(5), Fraction(1, 7)]], [Fraction(-1, 3)] * 5)
+def test_rref_is_the_integer_canonical_form(m, scales):
+    ncols = len(m[0])
+    rows = rref(m)
+    pivots = [next(j for j, x in enumerate(row) if x) for row in rows]
+    for i, (row, p) in enumerate(zip(rows, pivots)):
+        assert all(type(x) is int for x in row)
+        assert gcd(*row) == 1 and row[p] > 0
+        assert all(other[p] == 0 for k, other in enumerate(rows) if k != i)
+    assert rational_view(rows) == sympy_rref(m)
+    # row i scaled by a negative rational plus the rows before it: an
+    # invertible change of spanning set with the same canonical form
+    mixed = [
+        [c * x + sum(earlier[j] for earlier in m[:i]) for j, x in enumerate(row)]
+        for i, (c, row) in enumerate(zip(scales, m))
+    ]
+    original, recombined = Subspace.from_span(ncols, m), Subspace.from_span(ncols, mixed)
+    assert original.basis == rows
+    assert recombined == original and hash(recombined) == hash(original)
 
 
 small_rows = st.lists(st.integers(-3, 3), min_size=4, max_size=4)
@@ -151,13 +179,13 @@ def test_closure_matches_brute_force(case):
     arr = Arrangement(ambient_dim, tuple(Subspace.from_span(ambient_dim, m) for m in members))
     closure = intersection_closure(arr)
     expected = _brute_force_closure(ambient_dim, members)
-    assert {s.basis: mask for s, mask in closure.items()} == expected
+    assert {rational_view(s.basis): mask for s, mask in closure.items()} == expected
 
 
 def test_section_with_pivot_off_column_zero(monkeypatch):
     # h = (0, 2, -3, 1): its first nonzero column is 1, so the section frame
     # is e_j - (h_j / h_1)·e_1 for j = 0, 2, 3 and column 1 is dropped
-    h = Hyperplane(tuple(Fraction(x) for x in (0, 2, -3, 1)))
+    h = Hyperplane((0, 2, -3, 1))
     frame = sympy.Matrix(
         [[1, 0, 0, 0], [0, sympy.Rational(3, 2), 1, 0], [0, sympy.Rational(-1, 2), 0, 1]]
     )
@@ -174,7 +202,7 @@ def test_section_with_pivot_off_column_zero(monkeypatch):
             coords.append(list(y))
         got = restrict_to_hyperplane(s, h)
         assert got.ambient_dim == 3
-        assert got.basis == sympy_rref(coords)
+        assert rational_view(got.basis) == sympy_rref(coords)
     poset = build_poset(Arrangement(4, members))
     sectioned = hyperplane_section(poset, h)
     assert [s.dim for s in sectioned.subspaces] == [s.dim - 1 for s in members]

@@ -21,7 +21,7 @@ from projarr import (
     ring_table,
     verify_ring_axioms,
 )
-from projarr.linalg import make_matrix, rref
+from projarr.linalg import rref
 from projarr.oracles import compare
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
@@ -95,6 +95,51 @@ def test_corrupted_table_fails_axioms():
     broken[key] = {t: c + 1 for t, c in broken[key].items()}
     table.products = broken
     assert not verify_ring_axioms(table).passed
+
+
+def _failures_with(table, changes):
+    """verify_ring_axioms' failures on the table with some products replaced."""
+    saved = table.products
+    table.products = {**saved, **changes}
+    try:
+        return verify_ring_axioms(table).failures
+    finally:
+        table.products = saved
+
+
+def _ids_of_degree(table, degree):
+    return [i for i, b in enumerate(table.basis) if b.degree == degree]
+
+
+def test_verify_ring_axioms_reports_each_planted_failure():
+    skew = ring_of(skew_lines(2))  # one class in each of degrees 0, 2, 3, 5; 2n = 6
+    assert verify_ring_axioms(skew).passed
+    (unit,), (two,), (three,), (five,) = (_ids_of_degree(skew, d) for d in (0, 2, 3, 5))
+    product = skew.products[(two, three)]
+    assert set(product) == {five}
+    cases = [
+        ({(unit, three): {three: 2}}, f"unit law fails on left of basis {three}"),
+        ({(three, unit): {three: -1}}, f"unit law fails on right of basis {three}"),
+        ({(two, two): {three: 1}}, f"degree additivity fails on ({two},{two})"),
+        ({(three, five): {five: 1}}, f"nonzero product above top degree on ({three},{five})"),
+        ({(three, two): {five: -product[five]}}, f"graded commutativity fails on ({two},{three})"),
+    ]
+    for changes, message in cases:
+        assert message in _failures_with(skew, changes), message
+
+    # a non-associative triple of degree 3 <= 2n: in the exterior algebra
+    # H*((C*)^3), doubling every product of class i with a degree-2 class
+    # keeps the unit law, degrees and commutativity, but i·(j·t) ≠ (i·j)·t
+    cube = ring_of(boolean(3))
+    assert verify_ring_axioms(cube).passed
+    i, j, t = _ids_of_degree(cube, 1)
+    doubled = {}
+    for k in _ids_of_degree(cube, 2):
+        for key in ((i, k), (k, i)):
+            doubled[key] = {x: 2 * c for x, c in cube.products[key].items()}
+    failures = _failures_with(cube, doubled)
+    assert f"associativity fails on ({i},{j},{t})" in failures
+    assert failures and all(f.startswith("associativity fails") for f in failures)
 
 
 def test_skew_lines_products():
@@ -182,7 +227,7 @@ def pairing_ranks(table) -> dict[tuple[int, int], int]:
                 for i in left
                 for j in right
             ]
-            out[(p, q)] = len(rref(make_matrix(rows))) if target else 0
+            out[(p, q)] = len(rref(rows)) if target else 0
     return out
 
 

@@ -20,10 +20,9 @@ def test_no_assert_statements_in_package():
     assert found == []
 
 
-def test_package_imports_only_the_standard_library():
-    # the runtime package stays standard-library only; relative imports
-    # (level > 0) are the package's own modules
-    found = []
+def _absolute_imports():
+    """(file name, line, module) for every absolute import in the package;
+    relative imports (level > 0) are the package's own modules."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -33,9 +32,22 @@ def test_package_imports_only_the_standard_library():
                 names = [node.module]
             else:
                 continue
-            found += [
-                f"{path.name}:{node.lineno} {name}"
-                for name in names
-                if name.split(".")[0] not in sys.stdlib_module_names
-            ]
+            for name in names:
+                yield path.name, node.lineno, name
+
+
+def test_package_imports_only_the_standard_library():
+    # the runtime package stays standard-library only
+    found = [
+        f"{file}:{line} {name}"
+        for file, line, name in _absolute_imports()
+        if name.split(".")[0] not in sys.stdlib_module_names
+    ]
     assert found == []
+
+
+def test_only_input_and_subspace_modules_import_fractions():
+    # subspace bases are integer rows; rationals are formed only when
+    # parsing input (arrangement.py) and in the rational view (linalg.py)
+    found = {file for file, _, name in _absolute_imports() if name.split(".")[0] == "fractions"}
+    assert found == {"arrangement.py", "linalg.py"}
