@@ -157,19 +157,14 @@ def parse_arrangement(text: str) -> Arrangement:
     return Arrangement(ambient_dim, tuple(subspaces), tuple(names))
 
 
-def _inside(q: Subspace, a: Subspace) -> bool:
-    """q ⊆ a: every equation of a vanishes on q's basis."""
-    return all(sum(e * x for e, x in zip(eq, v)) == 0 for eq in a.annihilator for v in q.basis)
-
-
 def intersection_closure(arr: Arrangement) -> dict[Subspace, int]:
     """All intersections of subfamilies of the arrangement, including V,
     each mapped to the bitmask of the members containing it.
 
     A new element q ∩ A_a starts from the mask of q plus a, all members
-    known to contain it.  Each frontier element is tested against every
-    other member by evaluating the member's equations on its basis, and
-    intersected only with the members that do not contain it.
+    known to contain it.  Each frontier element is intersected once with
+    every other member; the meet is the element itself exactly when the
+    member contains it (see `subspace_intersection`).
     """
     masks = {Subspace.full(arr.ambient_dim): 0}
     masks.update((s, 1 << a) for a, s in enumerate(arr.subspaces))
@@ -182,10 +177,10 @@ def intersection_closure(arr: Arrangement) -> dict[Subspace, int]:
                 bit = 1 << a
                 if mask & bit:
                     continue
-                if _inside(q, sub):
+                meet = subspace_intersection(q, sub)
+                if meet is q:
                     mask |= bit
                     continue
-                meet = subspace_intersection(q, sub)
                 known = masks.get(meet)
                 if known is None:
                     new.append(meet)

@@ -166,36 +166,36 @@ class AxiomReport:
 
 
 def verify_ring_axioms(table: RingTable) -> AxiomReport:
+    """Pairwise laws on every pair; associativity on triples of degree sum
+    ≤ 2n, since on the rest the pairwise laws force both sides to 0."""
     failures = []
-    basis = table.basis
-    m = len(basis)
+    m = len(table.basis)
+    degree = [b.degree for b in table.basis]
+    top = 2 * table.n
     unit = {table.unit_index: 1}
-
-    def unit_basis(i):
-        return {i: 1}
-
     for i in range(m):
-        if table.multiply(unit, unit_basis(i)) != table.reduce(unit_basis(i)):
+        if table.multiply(unit, {i: 1}) != table.reduce({i: 1}):
             failures.append(f"unit law fails on left of basis {i}")
-        if table.multiply(unit_basis(i), unit) != table.reduce(unit_basis(i)):
+        if table.multiply({i: 1}, unit) != table.reduce({i: 1}):
             failures.append(f"unit law fails on right of basis {i}")
     for i in range(m):
         for j in range(m):
             prod = table.products[(i, j)]
-            target = basis[i].degree + basis[j].degree
-            if any(basis[t].degree != target for t in prod):
+            target = degree[i] + degree[j]
+            if any(degree[t] != target for t in prod):
                 failures.append(f"degree additivity fails on ({i},{j})")
-            if target > 2 * table.n and prod:
+            if target > top and prod:
                 failures.append(f"nonzero product above top degree on ({i},{j})")
-            sign = -1 if (basis[i].degree % 2 and basis[j].degree % 2) else 1
-            flipped = table.reduce(
-                {t: sign * c for t, c in table.products[(j, i)].items()}
-            )
+            sign = -1 if (degree[i] % 2 and degree[j] % 2) else 1
+            flipped = table.reduce({t: sign * c for t, c in table.products[(j, i)].items()})
             if table.reduce(dict(prod)) != flipped:
                 failures.append(f"graded commutativity fails on ({i},{j})")
+    by_degree = sorted(range(m), key=degree.__getitem__)
     for i in range(m):
         for j in range(m):
-            for t in range(m):
+            for t in by_degree:
+                if degree[i] + degree[j] + degree[t] > top:
+                    break
                 left = table.multiply(table.products[(i, j)], {t: 1})
                 right = table.multiply({i: 1}, table.products[(j, t)])
                 if left != right:

@@ -5,6 +5,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd
 
+import pytest
 import sympy
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
@@ -16,7 +17,7 @@ from projarr.arrangement import (
     intersection_closure,
     restrict_to_hyperplane,
 )
-from projarr.linalg import Subspace, rational_view, rref, subspace_intersection
+from projarr.linalg import AmbientMismatch, Subspace, rational_view, rref, subspace_intersection
 from projarr.poset import build_poset, verify_eta
 
 BIG = 10**6
@@ -119,6 +120,104 @@ def test_intersection_dimension_obeys_grassmann(rows_a, rows_b):
     for row in cut.basis:
         assert sympy_rank(rows_a + [list(row)]) == dim_a
         assert sympy_rank(rows_b + [list(row)]) == dim_b
+
+
+def sympy_intersection(ambient_dim, rows_a, rows_b) -> tuple:
+    """The RREF basis of span(rows_a) ∩ span(rows_b), solved by sympy from
+    the stacked equations of both."""
+    equations = [list(v) for rows in (rows_a, rows_b) for v in sympy.Matrix(rows).nullspace()]
+    if not equations:
+        return sympy_rref(sympy.eye(ambient_dim).tolist())
+    basis = sympy.Matrix(equations).nullspace()
+    return sympy_rref([list(v) for v in basis]) if basis else ()
+
+
+@st.composite
+def subspace_pairs(draw):
+    """Row lists of two subspaces of Q^ambient_dim, in one of the relations
+    the closure meets: drawn independently, a ⊆ b, b ⊆ a, a = b, a or b
+    the full space, or a of dimension 1."""
+    ambient_dim = draw(st.integers(1, 5))
+    vectors = st.lists(rationals, min_size=ambient_dim, max_size=ambient_dim)
+    rows_a = draw(st.lists(vectors, min_size=1, max_size=ambient_dim))
+    rows_b = draw(st.lists(vectors, min_size=1, max_size=ambient_dim))
+    full = [[Fraction(int(i == j)) for j in range(ambient_dim)] for i in range(ambient_dim)]
+    combos = st.lists(rationals, min_size=len(rows_b), max_size=len(rows_b))
+    relation = draw(st.sampled_from(["any", "a in b", "b in a", "equal", "a full", "b full", "a line"]))
+    if relation == "a in b":
+        rows_a = [
+            [sum(c * r[k] for c, r in zip(draw(combos), rows_b)) for k in range(ambient_dim)]
+            for _ in range(draw(st.integers(1, len(rows_b))))
+        ]
+    elif relation == "b in a":
+        rows_a = rows_b + rows_a
+    elif relation == "equal":
+        rows_a = [[-x for x in r] for r in reversed(rows_b)]
+    elif relation == "a full":
+        rows_a = full
+    elif relation == "b full":
+        rows_b = full
+    elif relation == "a line":
+        rows_a = rows_a[:1]
+    return ambient_dim, rows_a, rows_b
+
+
+def _assert_exact_intersection(ambient_dim, rows_a, rows_b):
+    a, b = Subspace.from_span(ambient_dim, rows_a), Subspace.from_span(ambient_dim, rows_b)
+    cut = subspace_intersection(a, b)
+    expected = sympy_intersection(ambient_dim, rows_a, rows_b)
+    assert cut.ambient_dim == ambient_dim
+    assert rational_view(cut.basis) == expected
+    assert cut == Subspace.from_span(ambient_dim, expected)
+    # the closure reads "the meet is a itself" as "b contains a"
+    assert (cut is a) == b.contains(a)
+
+
+Q = Fraction
+X, Y, Z, W = ([Q(int(i == j)) for j in range(4)] for i in range(4))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(subspace_pairs())
+@example((4, [X], [X, Y]))  # a ⊆ b, a a point
+@example((4, [X, Y], [X]))  # b ⊆ a
+@example((4, [X, Y], [[Q(2), Q(3), Q(0), Q(0)], [Q(0), Q(-1, 2), Q(0), Q(0)]]))  # a = b
+@example((4, [X, Y], [Z, W]))  # a ∩ b = 0
+@example((4, [[Q(1), Q(2), Q(3), Q(4)]], [X, Y, Z]))  # a point off the member
+@example((4, [X, Y, Z, W], [[Q(1), Q(1, 3), Q(0), Q(-5)], Z]))  # a full
+@example((4, [[Q(1), Q(1), Q(0), Q(0)], Z], [X, Y, Z, W]))  # b full
+@example((3, [[Q(0), Q(0), Q(0)]], [[Q(1), Q(0), Q(0)]]))  # a zero
+@example((2, [[Q(1), Q(-1)]], [[Q(BIG, BIG - 1), Q(-BIG, BIG - 1)]]))  # a = b, big entries
+def test_intersection_is_the_subspace_sympy_solves_for(case):
+    _assert_exact_intersection(*case)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.tuples(
+            st.lists(st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=1, max_size=n),
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n).filter(any),
+        )
+    )
+)
+@example(([[1, 0, 0, 0], [0, 1, 0, 0]], [0, 2, -3, 1]))
+@example(([[0, 3, 2, 0]], [0, 2, -3, 1]))  # a point inside ker h
+def test_cut_by_a_hyperplane_kernel_is_exact(case):
+    # a ∩ ker h, the intersection restrict_to_hyperplane makes: one
+    # equation, so M is 1 × dim a
+    rows, functional = case
+    ambient_dim = len(functional)
+    kernel_rows = [[_fraction(x) for x in v] for v in sympy.Matrix([functional]).nullspace()]
+    assert Hyperplane(tuple(functional)).kernel_subspace == Subspace.from_span(ambient_dim, kernel_rows)
+    _assert_exact_intersection(ambient_dim, rows, kernel_rows)
+
+
+def test_intersection_of_different_ambient_dimensions_is_refused():
+    a, b = Subspace.from_span(3, [[1, 0, 0]]), Subspace.from_span(4, [[1, 0, 0, 0]])
+    for x, y in ((a, b), (b, a), (Subspace.full(3), b), (Subspace.from_span(3, [[0, 0, 0]]), b)):
+        with pytest.raises(AmbientMismatch):
+            subspace_intersection(x, y)
 
 
 def _brute_force_closure(ambient_dim, members):

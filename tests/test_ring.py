@@ -13,6 +13,7 @@ from arrangements import (
     skew_lines,
 )
 from projarr import (
+    Arrangement,
     affine_decompose,
     build_poset,
     decompose,
@@ -21,8 +22,9 @@ from projarr import (
     ring_table,
     verify_ring_axioms,
 )
-from projarr.linalg import rref
+from projarr.linalg import Subspace, rref
 from projarr.oracles import compare
+from projarr.ring import RingTable
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
@@ -140,6 +142,47 @@ def test_verify_ring_axioms_reports_each_planted_failure():
     failures = _failures_with(cube, doubled)
     assert f"associativity fails on ({i},{j},{t})" in failures
     assert failures and all(f.startswith("associativity fails") for f in failures)
+
+
+# five codim-2 subspaces of CP^5 in general position, each cut out by two
+# equations: the shape of the benchmark's generic `verify` inputs
+CODIM2_CP5 = [
+    [[4, -1, 0, 5, 3, -5], [2, -2, 5, -5, -3, -4]],
+    [[0, 2, -2, 1, 3, -4], [4, -2, -5, -2, 1, -1]],
+    [[-3, 1, -3, -4, -3, 4], [4, 2, -3, -3, -5, -5]],
+    [[-2, -2, -3, -3, -1, 0], [-2, 3, 5, 5, -2, -3]],
+    [[-2, 1, -1, -5, 0, 1], [-3, -3, -1, -4, 0, -1]],
+]
+AXIOM_CASES = {
+    **{
+        path.stem: lambda path=path: parse_arrangement(path.read_text())
+        for path in sorted(FIXTURES.glob("*.json"))
+    },
+    "boolean3": lambda: boolean(3),
+    "codim2x5_cp5": lambda: Arrangement(6, tuple(Subspace.from_equations(6, eqs) for eqs in CODIM2_CP5)),
+}
+
+
+@pytest.mark.parametrize("name", AXIOM_CASES)
+def test_associativity_is_compared_exactly_on_triples_of_degree_sum_at_most_2n(monkeypatch, name):
+    table = ring_of(AXIOM_CASES[name]())
+    degrees = [b.degree for b in table.basis]
+    m = len(degrees)
+    bounded = sum(1 for x in degrees for y in degrees for z in degrees if x + y + z <= 2 * table.n)
+    calls = 0
+    original = RingTable.multiply
+
+    def multiply(self, a, b):
+        nonlocal calls
+        calls += 1
+        return original(self, a, b)
+
+    monkeypatch.setattr(RingTable, "multiply", multiply)
+    assert verify_ring_axioms(table).passed
+    # two unit-law products per basis element, then two per compared triple
+    assert calls == 2 * m + 2 * bounded
+    if name == "codim2x5_cp5":
+        assert (m, bounded) == (22, 774)
 
 
 def test_skew_lines_products():

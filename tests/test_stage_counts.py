@@ -1,6 +1,7 @@
 """Each pipeline stage runs once per CLI command, cycles are
-coordinatized by reading one column of V⁻¹ per nonzero, and homology
-asks Smith normal form only for the transforms it reads.
+coordinatized by reading one column of V⁻¹ per nonzero, homology asks
+Smith normal form only for the transforms it reads, and subspaces are
+intersected in the first one's coordinates.
 
 Calls are counted by code object through `sys.setprofile`, so a stage
 reached through an alias (`from .poset import build_poset`) or a wrapper
@@ -15,6 +16,7 @@ import pytest
 from projarr import chains
 from projarr.arrangement import intersection_closure
 from projarr.cli import main
+from projarr.linalg import kernel, subspace_intersection
 from projarr.poset import build_poset
 from projarr.ring import decompose
 
@@ -147,3 +149,27 @@ def test_homology_carries_only_the_transforms_it_reads(capsys, monkeypatch, flag
         carried, uncarried = (right, left) if of_boundary else (left, right)
         assert None not in carried
         assert uncarried == (None, None)
+
+
+@pytest.mark.parametrize("flags", [["verify"], ["presentation", "--c", "1"], ["presentation", "--c", "2"]], ids=" ".join)
+def test_intersections_are_solved_in_the_first_subspace_s_coordinates(capsys, flags):
+    # every kernel that subspace_intersection(a, b) solves has dim a
+    # unknowns (the coefficients of a ∩ b in a's basis), never ambient_dim
+    seen = []  # (ncols, a.dim, a.ambient_dim) per kernel call
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is kernel.__code__:
+            caller = frame.f_back
+            if caller.f_code is subspace_intersection.__code__:
+                a = caller.f_locals["a"]
+                seen.append((frame.f_locals["ncols"], a.dim, a.ambient_dim))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        for name in sorted(os.listdir(FIXTURES)):
+            main(flags + [os.path.join(FIXTURES, name)])
+    finally:
+        sys.setprofile(previous)
+    assert any(dim < ambient for _, dim, ambient in seen)
+    assert all(ncols == dim for ncols, dim, _ in seen)
