@@ -10,6 +10,8 @@ representative cycles and an exact coordinatizer per degree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 
 from .linalg import snf
 from .poset import IntersectionPoset
@@ -335,71 +337,59 @@ def build_local_complex(poset: IntersectionPoset, u: int) -> ChainComplex:
 
 
 # ---------------------------------------------------------------------------
-# shuffle cross product and the meet product
+# the meet product
 
 
-def _shuffles(p: int, q: int):
-    """All (p,q)-shuffle words as (sign, moves) with moves a tuple of 0/1
-    (0 = advance first factor); sign = parity of the shuffle permutation."""
-    from itertools import combinations
-
-    total = p + q
-    for rpos in combinations(range(total), p):
-        moves = [1] * total
-        for i in rpos:
-            moves[i] = 0
-        # inversions: for each 0-move, count 1-moves occurring before it
-        inv = 0
-        ones_seen = 0
-        for m in moves:
-            if m == 1:
-                ones_seen += 1
+@cache
+def _shuffle_paths(p: int, q: int) -> tuple:
+    """The (p, q)-shuffles as (sign, path): sign is the parity of the
+    shuffle permutation, and path lists the vertex pairs (σ_i, τ_j) after
+    (σ_0, τ_0) by their index i·(q + 1) + j in the p+1 by q+1 grid."""
+    paths = []
+    for firsts in combinations(range(p + q), p):
+        i = j = inversions = 0
+        path = []
+        for step in range(p + q):
+            if step in firsts:
+                i += 1
+                inversions += j
             else:
-                inv += ones_seen
-        yield ((-1) ** inv, tuple(moves))
+                j += 1
+            path.append(i * (q + 1) + j)
+        paths.append((-1 if inversions % 2 else 1, tuple(path)))
+    return tuple(paths)
 
 
-def cross_shuffle(c: IntChain, d: IntChain) -> IntChain:
-    """Eilenberg-Zilber shuffle product; vertices of the result are pairs."""
+def _meet_shuffle(poset: IntersectionPoset, c: IntChain, d: IntChain) -> IntChain:
+    """The Eilenberg-Zilber shuffle product of c and d pushed through the
+    vertex-wise meet (u, v) -> u∧v, degenerate images dropped.
+
+    Along a shuffle path both vertex indices only grow, so the meets grow
+    weakly, and a degenerate image repeats two adjacent vertices: a path
+    is dropped at its first repeat.  Precondition: every simplex of c and
+    d ends at V, so every image ends at V∧V = V and starts at σ_0∧τ_0.
+    Relative-complex chains and the 1-chains [A_i, V] end at V, and
+    local-complex chains also start at their summand, so no caller needs
+    to project the result."""
+    meet = poset.meet
     out: IntChain = {}
     for sigma, a in c.items():
-        p = len(sigma) - 1
+        rows = [meet[u] for u in sigma]
         for tau, b in d.items():
-            q = len(tau) - 1
-            for sign, moves in _shuffles(p, q):
-                i = j = 0
-                verts = [(sigma[0], tau[0])]
-                for m in moves:
-                    if m == 0:
-                        i += 1
-                    else:
-                        j += 1
-                    verts.append((sigma[i], tau[j]))
-                key = tuple(verts)
-                out[key] = out.get(key, 0) + sign * a * b
-                if out[key] == 0:
-                    del out[key]
-    return out
-
-
-def meet_push(poset: IntersectionPoset, ch: IntChain) -> IntChain:
-    """Apply (u,v) -> u∧v vertex-wise; degenerate images are dropped."""
-    out: IntChain = {}
-    for simplex, coeff in ch.items():
-        image = tuple(poset.meet[u][v] for u, v in simplex)
-        if len(set(image)) != len(image):
-            continue
-        out[image] = out.get(image, 0) + coeff
-        if out[image] == 0:
-            del out[image]
-    return out
-
-
-def meet_chain(poset: IntersectionPoset, c: IntChain, d: IntChain) -> IntChain:
-    """meet_push ∘ cross_shuffle, projected to chains ending at V."""
-    pushed = meet_push(poset, cross_shuffle(c, d))
-    top = poset.top
-    return {s: v for s, v in pushed.items() if s[-1] == top}
+            grid = [row[v] for row in rows for v in tau]
+            for sign, path in _shuffle_paths(len(sigma) - 1, len(tau) - 1):
+                last = grid[0]
+                image = [last]
+                for x in path:
+                    v = grid[x]
+                    if v == last:
+                        break
+                    image.append(v)
+                    last = v
+                else:
+                    key = tuple(image)
+                    out[key] = out.get(key, 0) + sign * a * b
+    return {s: x for s, x in out.items() if x}
 
 
 def meet_product(poset: IntersectionPoset, k: int, l: int, c: IntChain, d: IntChain) -> IntChain:
@@ -407,7 +397,7 @@ def meet_product(poset: IntersectionPoset, k: int, l: int, c: IntChain, d: IntCh
     n = poset.n
     if k + l < n:
         raise ValueError("meet_product requires k + l >= n")
-    result = meet_chain(poset, c, d)
+    result = _meet_shuffle(poset, c, d)
     floor = k + l - n
     for s in result:
         if min(poset.d[v] for v in s) < floor:

@@ -154,12 +154,15 @@ class Subspace:
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
-    """a ∩ b as the kernel of b's equations on a's basis, or a itself when a ⊆ b."""
+    """a ∩ b as the kernel of b's equations on a's basis, or a itself when
+    a ⊆ b, or b itself when a is the full space."""
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
     m = [[sum(e * x for e, x in zip(eq, v)) for v in a.basis] for eq in b.annihilator]
     if not any(map(any, m)):
         return a
+    if a.dim == a.ambient_dim:
+        return b
     terms = [[(c, v) for c, v in zip(coeffs, a.basis) if c] for coeffs in kernel(m, a.dim)]
     cut = [[sum(c * v[k] for c, v in row) for k in range(a.ambient_dim)] for row in terms]
     return Subspace(a.ambient_dim, rref(cut))

@@ -17,12 +17,12 @@ from itertools import combinations
 from .chains import (
     ChainComplex,
     IntChain,
+    _meet_shuffle,
     _sum_columns,
     add_chains,
     build_relative_complex,
     complex_from_faces,
     homology,
-    meet_chain,
 )
 from .linalg import rref, snf
 from .poset import IntersectionPoset, is_c_arrangement, minimal_dependent_sets
@@ -193,7 +193,7 @@ def fk_chain(poset: IntersectionPoset, simplex: tuple[int, ...]) -> IntChain:
     """Iterated meet product of the 1-chains [A_i, V]; empty product = [V]."""
     chain: IntChain = {(poset.top,): 1}
     for member in simplex:
-        chain = meet_chain(poset, chain, _alpha(poset, member))
+        chain = _meet_shuffle(poset, chain, _alpha(poset, member))
     return chain
 
 
@@ -202,7 +202,7 @@ def gk_chain(poset: IntersectionPoset, base_index: int, simplex: tuple[int, ...]
     base = _alpha(poset, base_index)
     for member in simplex:
         factor = add_chains(_alpha(poset, member), base, -1)
-        chain = meet_chain(poset, chain, factor)
+        chain = _meet_shuffle(poset, chain, factor)
     return chain
 
 

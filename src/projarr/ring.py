@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 from .chains import (
     HomologySummary,
     IntChain,
+    _meet_shuffle,
     build_local_complex,
     build_relative_complex,
-    cross_shuffle,
     homology,
     meet_product,
-    meet_push,
 )
 from .poset import IntersectionPoset
 
@@ -215,7 +214,7 @@ def affine_decompose(poset: IntersectionPoset, infinity_index: int) -> RingTable
     if a0_sub.dim - 1 != poset.n - 1:
         raise ValueError("infinity_index must name a hyperplane")
     a0 = poset.index_of(a0_sub)
-    n, top = poset.n, poset.top
+    n = poset.n
     summaries = {
         u: homology(build_local_complex(poset, u))
         for u in range(len(poset.elements)) if not poset.leq[u][a0]
@@ -225,8 +224,7 @@ def affine_decompose(poset: IntersectionPoset, infinity_index: int) -> RingTable
         w = poset.meet[a.summand][b.summand]
         if w not in summaries or poset.d[w] != poset.d[a.summand] + poset.d[b.summand] - n:
             return None
-        pushed = meet_push(poset, cross_shuffle(c, d))
-        return w, {s: v for s, v in pushed.items() if s[0] == w and s[-1] == top}
+        return w, _meet_shuffle(poset, c, d)
 
     return _ring(
         poset, summaries, lambda u, m: 2 * n - 2 * poset.d[u] - m,

@@ -1,6 +1,7 @@
 import dataclasses
 import pathlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -20,12 +21,10 @@ from projarr.chains import (
     NotACycle,
     add_chains,
     build_local_complex,
+    _meet_shuffle,
     build_relative_complex,
-    cross_shuffle,
     homology,
-    meet_chain,
     meet_product,
-    meet_push,
 )
 from projarr.poset import build_poset
 from projarr.presentation import atomic_complex
@@ -249,55 +248,142 @@ def test_class_of_recovers_coefficients_of_generators_plus_boundary():
     assert checked > 1000 and rejected > 100
 
 
-def test_cross_shuffle_point_identity():
-    c = {(1,): 1}
-    d = {(2, 5): 3}
-    assert cross_shuffle(c, d) == {((1, 2), (1, 5)): 3}
+def _reference_shuffles(p, q):
+    """All (p,q)-shuffle words as (sign, moves), moves a tuple of 0/1 (0 =
+    advance the first factor), sign the parity of the shuffle permutation."""
+    for rpos in combinations(range(p + q), p):
+        moves = [1] * (p + q)
+        for i in rpos:
+            moves[i] = 0
+        inv = ones_seen = 0
+        for m in moves:
+            if m == 1:
+                ones_seen += 1
+            else:
+                inv += ones_seen
+        yield (-1) ** inv, tuple(moves)
 
 
-def test_cross_shuffle_leibniz_rule():
-    rng = random.Random(5)
-    for _ in range(100):
-        p = rng.randrange(0, 3)
-        q = rng.randrange(0, 3)
+def _reference_meet_product(poset, c, d):
+    """The three-pass product the kernel must reproduce: the shuffle cross
+    product with pairs as vertices, words regenerated for every pair of
+    simplices; then (u, v) -> u∧v on every shuffled simplex, degenerate
+    images dropped afterwards; then the projection to chains ending at V."""
+    crossed = {}
+    for sigma, a in c.items():
+        for tau, b in d.items():
+            for sign, moves in _reference_shuffles(len(sigma) - 1, len(tau) - 1):
+                i = j = 0
+                verts = [(sigma[0], tau[0])]
+                for m in moves:
+                    if m == 0:
+                        i += 1
+                    else:
+                        j += 1
+                    verts.append((sigma[i], tau[j]))
+                crossed = add_chains(crossed, {tuple(verts): sign * a * b})
+    pushed = {}
+    for simplex, coeff in crossed.items():
+        image = tuple(poset.meet[u][v] for u, v in simplex)
+        if len(set(image)) == len(image):
+            pushed = add_chains(pushed, {image: coeff})
+    return {s: v for s, v in pushed.items() if s[-1] == poset.top}
 
-        def random_chain(deg):
-            chain = {}
-            for _ in range(rng.randrange(1, 3)):
-                verts = tuple(sorted(rng.sample(range(8), deg + 1)))
-                chain[verts] = chain.get(verts, 0) + rng.randrange(-2, 3)
-            return {s: c for s, c in chain.items() if c}
 
-        c = random_chain(p)
-        d = random_chain(q)
-        lhs = full_boundary(cross_shuffle(c, d))
-        rhs = add_chains(
-            cross_shuffle(full_boundary(c), d),
-            cross_shuffle(c, full_boundary(d)),
-            (-1) ** p,
-        )
-        assert lhs == rhs
+def product_arrangements():
+    """Every fixture file, boolean(3) and four generic lines in CP^2."""
+    fixture_dir = pathlib.Path(__file__).parent.parent / "fixtures"
+    arrangements = [parse_arrangement(p.read_text()) for p in sorted(fixture_dir.glob("*.json"))]
+    return arrangements + [boolean(3), generic_hyperplanes(2, 4)]
 
 
-def test_meet_push_naturality():
-    rng = random.Random(9)
-    for arr in [skew_lines(3), crossed_pairs(), boolean(2)]:
+def random_chain(rng, cx, r):
+    """Up to three basis simplices of degree r with coefficients in ±1, ±2."""
+    picks = rng.sample(cx.bases[r], min(cx.dim(r), rng.randrange(1, 4)))
+    return {s: rng.choice([-2, -1, 1, 2]) for s in picks}
+
+
+def relative_boundary(chain):
+    """∂ on chains ending at V: every face but the one dropping V."""
+    out = {}
+    for s, c in chain.items():
+        out = add_chains(out, {s[:i] + s[i + 1:]: (-1) ** i * c for i in range(len(s) - 1)})
+    return out
+
+
+def level_pairs(rng, levels, draws):
+    """Random pairs of basis chains c at level k in degree p and d at level
+    l in degree q, for every k + l >= n and every p, q with cells: draws
+    pairs when p, q > 0, and three when one of them is a point."""
+    n = len(levels) - 1
+    for k in range(n + 1):
+        for l in range(n - k, n + 1):
+            for p in range(levels[k].top_degree + 1):
+                for q in range(levels[l].top_degree + 1):
+                    if levels[k].dim(p) and levels[l].dim(q):
+                        for _ in range(draws if p and q else 3):
+                            c = random_chain(rng, levels[k], p)
+                            yield k, l, p, q, c, random_chain(rng, levels[l], q)
+
+
+def test_meet_kernel_matches_the_three_pass_reference():
+    rng = random.Random(31)
+    products = positive = local = degenerate = 0
+    for arr in product_arrangements():
         poset = build_poset(arr)
-        cx = build_relative_complex(poset, 0)
-        for _ in range(100):
-            r1 = rng.randrange(0, cx.top_degree + 1)
-            r2 = rng.randrange(0, cx.top_degree + 1)
-            if not cx.dim(r1) or not cx.dim(r2):
+        n = arr.n
+        levels = [build_relative_complex(poset, k) for k in range(n + 1)]
+        for k, l, p, q, c, d in level_pairs(rng, levels, 50):
+            assert meet_product(poset, k, l, c, d) == _reference_meet_product(poset, c, d)
+            products += 1
+            positive += p > 0 and q > 0
+        summands = [build_local_complex(poset, u) for u in range(len(poset.elements))]
+        for _ in range(60):
+            u, v = rng.randrange(len(summands)), rng.randrange(len(summands))
+            w = poset.meet[u][v]
+            r1, r2 = rng.randrange(summands[u].top_degree + 1), rng.randrange(summands[v].top_degree + 1)
+            if not summands[u].dim(r1) or not summands[v].dim(r2):
                 continue
-            c = {cx.bases[r1][rng.randrange(cx.dim(r1))]: rng.choice([-1, 1, 2])}
-            d = {cx.bases[r2][rng.randrange(cx.dim(r2))]: rng.choice([-1, 1])}
-            x = cross_shuffle(c, d)
-            assert meet_push(poset, full_boundary(x)) == full_boundary(
-                meet_push(poset, x)
-            )
+            c, d = random_chain(rng, summands[u], r1), random_chain(rng, summands[v], r2)
+            want = {s: x for s, x in _reference_meet_product(poset, c, d).items() if s[0] == w}
+            assert _meet_shuffle(poset, c, d) == want
+            local += 1
+        # a simplex of positive degree times itself: every shuffle path
+        # starts σ_0, σ_0 and degenerates at its first step
+        for s in levels[0].bases[-1][:3] if levels[0].top_degree else []:
+            assert _reference_meet_product(poset, {s: 1}, {s: 1}) == {}
+            assert _meet_shuffle(poset, {s: 1}, {s: 1}) == {}
+            degenerate += 1
+    assert products > 1300 and positive > 750 and local > 300 and degenerate > 20
 
 
-def test_meet_chain_of_units():
-    poset = build_poset(skew_lines(2))
+def test_meet_product_of_a_point_with_a_simplex():
+    # p = 0: the single shuffle path walks the second factor
+    arr = points_cp1(3)
+    poset = build_poset(arr)
     unit = {(poset.top,): 1}
-    assert meet_chain(poset, unit, unit) == unit
+    edge = {(poset.index_of(arr.subspaces[0]), poset.top): 3}
+    assert meet_product(poset, 1, 0, unit, edge) == edge
+    assert meet_product(poset, 0, 1, edge, unit) == edge
+    assert meet_product(poset, 1, 1, unit, unit) == unit
+
+
+def test_meet_product_is_a_chain_map_of_relative_chains():
+    # ∂(c·d) = ∂c·d + (-1)^p c·∂d, c of degree p at level k, d at level l
+    rng = random.Random(5)
+    checked = nontrivial = 0
+    for arr in product_arrangements():
+        poset = build_poset(arr)
+        n = arr.n
+        levels = [build_relative_complex(poset, k) for k in range(n + 1)]
+        for k, l, p, q, c, d in level_pairs(rng, levels, 50):
+            lhs = relative_boundary(meet_product(poset, k, l, c, d))
+            rhs = add_chains(
+                meet_product(poset, k, l, relative_boundary(c), d),
+                meet_product(poset, k, l, c, relative_boundary(d)),
+                (-1) ** p,
+            )
+            assert lhs == rhs
+            checked += 1
+            nontrivial += bool(lhs)
+    assert checked > 1300 and nontrivial > 900

@@ -213,6 +213,16 @@ def test_cut_by_a_hyperplane_kernel_is_exact(case):
     _assert_exact_intersection(ambient_dim, rows, kernel_rows)
 
 
+def test_the_full_space_cut_by_a_proper_subspace_is_that_subspace_itself():
+    # so restrict_to_hyperplane(V, h) reuses the cached ker h, equations included
+    h = Hyperplane((0, 2, -3, 1))
+    proper = [h.kernel_subspace, Subspace.from_span(4, [[1, 2, 3, 4]]), Subspace.from_span(4, [[0, 0, 0, 0]])]
+    for b in proper:
+        assert subspace_intersection(Subspace.full(4), b) is b
+    cut = restrict_to_hyperplane(Subspace.full(4), h)
+    assert cut == Subspace.full(3)
+
+
 def test_intersection_of_different_ambient_dimensions_is_refused():
     a, b = Subspace.from_span(3, [[1, 0, 0]]), Subspace.from_span(4, [[1, 0, 0, 0]])
     for x, y in ((a, b), (b, a), (Subspace.full(3), b), (Subspace.from_span(3, [[0, 0, 0]]), b)):

@@ -1,19 +1,21 @@
 """Each pipeline stage runs once per CLI command, cycles are
 coordinatized by reading one column of V⁻¹ per nonzero, homology asks
-Smith normal form only for the transforms it reads, and subspaces are
-intersected in the first one's coordinates.
+Smith normal form only for the transforms it reads, subspaces are
+intersected in the first one's coordinates, and a product of the ring
+table enters no public chain function but `meet_product` and `class_of`.
 
 Calls are counted by code object through `sys.setprofile`, so a stage
 reached through an alias (`from .poset import build_poset`) or a wrapper
 is still counted.
 """
 
+import inspect
 import os
 import sys
 
 import pytest
 
-from projarr import chains
+from projarr import chains, ring
 from projarr.arrangement import intersection_closure
 from projarr.cli import main
 from projarr.linalg import kernel, subspace_intersection
@@ -173,3 +175,53 @@ def test_intersections_are_solved_in_the_first_subspace_s_coordinates(capsys, fl
         sys.setprofile(previous)
     assert any(dim < ambient for _, dim, ambient in seen)
     assert all(ncols == dim for ncols, dim, _ in seen)
+
+
+def chain_calls_per_product(argv):
+    """Exit code and, per product the ring table computes, the public
+    `chains` functions entered from the moment its product rule is called
+    until the next one is, coordinatizing its result included."""
+    public = {
+        f.__code__: name for name, f in vars(chains).items()
+        if inspect.isfunction(f) and f.__module__ == chains.__name__ and not name.startswith("_")
+    }
+    public[chains.HomologySummary.class_of.__code__] = "class_of"
+    assemble = ring._ring.__code__
+    entered = []  # per product, the names entered
+
+    def in_assembly(frame):
+        while frame is not None and frame.f_code is not assemble:
+            frame = frame.f_back
+        return frame is not None
+
+    def profile(frame, event, arg):
+        if event != "call":
+            return
+        if frame.f_code.co_name == "product" and frame.f_back.f_code is assemble:
+            entered.append([])
+        elif frame.f_code in public and in_assembly(frame):
+            entered[-1].append(public[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        code = main(argv)
+    finally:
+        sys.setprofile(previous)
+    return code, entered
+
+
+@pytest.mark.parametrize("name", ["boolean_cp3", "generic4_cp2", "skew_lines3"])
+@pytest.mark.parametrize("flags", [["ring"], ["ring", "--affine", "0"]], ids=" ".join)
+def test_a_product_enters_only_meet_product_and_class_of(capsys, flags, name):
+    # projective: meet_product once, then class_of on its result; affine:
+    # the meet kernel directly, then class_of.  skew_lines3 has no
+    # hyperplane to send to infinity, so --affine 0 refuses it.
+    code, entered = chain_calls_per_product(flags + [os.path.join(FIXTURES, name + ".json")])
+    if name == "skew_lines3" and "--affine" in flags:
+        assert (code, entered) == (2, [])
+        return
+    assert code == 0
+    meet = ["meet_product"] if flags == ["ring"] else []
+    assert entered and all(calls in ([], meet + ["class_of"]) for calls in entered)
+    assert sum(calls == meet + ["class_of"] for calls in entered) > 10
