@@ -13,10 +13,9 @@ import random
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING
 
-from .linalg import AmbientMismatch, Subspace, subspace_intersection
+from .linalg import AmbientMismatch, Subspace, _cut, _products, _rank
 
 if TYPE_CHECKING:
     from .poset import IntersectionPoset
@@ -83,15 +82,12 @@ class Hyperplane:
     def ambient_dim(self) -> int:
         return len(self.functional)
 
-    def vanishes_on(self, s: Subspace) -> bool:
-        return all(
-            sum(f * x for f, x in zip(self.functional, row)) == 0 for row in s.basis
-        )
+    def values(self, rows) -> list[int]:
+        """h(v) for each row v."""
+        return [sum(f * x for f, x in zip(self.functional, v)) for v in rows]
 
-    @cached_property
-    def kernel_subspace(self) -> Subspace:
-        """ker(h), computed once per hyperplane."""
-        return Subspace.from_equations(self.ambient_dim, [self.functional])
+    def vanishes_on(self, s: Subspace) -> bool:
+        return not any(self.values(s.basis))
 
 
 # Fraction("1e999999999") computes 10**999999999.  Digit strings are
@@ -161,32 +157,42 @@ def intersection_closure(arr: Arrangement) -> dict[Subspace, int]:
     """All intersections of subfamilies of the arrangement, including V,
     each mapped to the bitmask of the members containing it.
 
-    A new element q ∩ A_a starts from the mask of q plus a, all members
-    known to contain it.  Each frontier element is intersected once with
-    every other member; the meet is the element itself exactly when the
-    member contains it (see `subspace_intersection`).
+    Each new element gets its whole mask at once from dot products: the
+    equations of A_a on the element's basis give a matrix M (codim A_a ×
+    dim q), and A_a contains q iff M = 0.  Otherwise q ∩ A_a has
+    dimension dim q − rank M, and no row reduction is needed to find it
+    when that is 0, or when a known element w of that dimension has
+    mask(q) | a in its mask: every element is the intersection of the
+    members containing it, so w lies in q ∩ A_a and equals it.  Only a
+    meet not found yet is cut in q's coordinates and reduced, so each
+    element that is neither V, a member nor 0 costs one reduction.
     """
+    equations = [s.annihilator for s in arr.subspaces]
     masks = {Subspace.full(arr.ambient_dim): 0}
-    masks.update((s, 1 << a) for a, s in enumerate(arr.subspaces))
-    frontier = list(arr.subspaces)
-    while frontier:
-        new = []
-        for q in frontier:
-            mask = masks[q]
-            for a, sub in enumerate(arr.subspaces):
-                bit = 1 << a
-                if mask & bit:
-                    continue
-                meet = subspace_intersection(q, sub)
-                if meet is q:
-                    mask |= bit
-                    continue
-                known = masks.get(meet)
-                if known is None:
-                    new.append(meet)
-                masks[meet] = (known or 0) | mask | bit
-            masks[q] = mask
-        frontier = new
+    zero, every = Subspace(arr.ambient_dim, ()), (1 << len(equations)) - 1
+    masks_by_dim: dict[int, list[int]] = {}
+    todo = []
+
+    def add(s: Subspace) -> None:
+        products = [_products(eqs, s.basis) for eqs in equations]
+        masks[s] = sum(1 << a for a, m in enumerate(products) if not any(map(any, m)))
+        masks_by_dim.setdefault(s.dim, []).append(masks[s])
+        todo.append((s, products))
+
+    for s in arr.subspaces:
+        add(s)
+    while todo:
+        q, products = todo.pop()
+        mask = masks[q]
+        for a, m in enumerate(products):
+            union = mask | 1 << a
+            if union == mask:
+                continue
+            dim = q.dim - _rank(m)
+            if dim == 0:
+                masks[zero] = every
+            elif not any(w & union == union for w in masks_by_dim.get(dim, ())):
+                add(_cut(q, m))
     return masks
 
 
@@ -219,15 +225,22 @@ class GenericityError(ValueError):
 def restrict_to_hyperplane(s: Subspace, h: Hyperplane) -> Subspace:
     """s ∩ ker(h), re-coordinatized to the (ambient_dim - 1)-frame of ker(h).
 
-    With p the first nonzero column of h, the frame is e_j − (h_j/h_p)·e_p
-    for j ≠ p in order, so the frame coordinates of a vector of ker(h) are
-    its entries with column p dropped.
+    With c_i = h(b_i) on s's basis and p the first index with c_p ≠ 0,
+    s ∩ ker(h) is spanned by c_p·b_i − c_i·b_p for i ≠ p (it is s when
+    every c_i is 0).  With j the first nonzero column of h, the frame is
+    e_k − (h_k/h_j)·e_j for k ≠ j in order, so the frame coordinates of a
+    vector of ker(h) are its entries with column j dropped.
     """
-    cut = subspace_intersection(s, h.kernel_subspace)
-    if not h.vanishes_on(cut):
+    c = h.values(s.basis)
+    p = next((i for i, x in enumerate(c) if x), None)
+    cut = list(s.basis)
+    if p is not None:
+        bp, cp = cut.pop(p), c.pop(p)
+        cut = [[cp * x - ci * y for x, y in zip(b, bp)] for b, ci in zip(cut, c)]
+    if any(h.values(cut)):
         raise RuntimeError("vector not in hyperplane frame")
-    p = next(j for j, x in enumerate(h.functional) if x != 0)
-    return Subspace.from_span(h.ambient_dim - 1, [v[:p] + v[p + 1:] for v in cut.basis])
+    j = next(k for k, x in enumerate(h.functional) if x != 0)
+    return Subspace.from_span(h.ambient_dim - 1, [v[:j] + v[j + 1:] for v in cut])
 
 
 def hyperplane_section(poset: IntersectionPoset, h: Hyperplane) -> Arrangement:

@@ -43,6 +43,15 @@ def rref(m) -> Matrix:
     row is divided by its content.  Only the pivot signs are fixed at the
     end.
     """
+    rows, pivots = _reduce(m)
+    return tuple(
+        tuple(-x for x in row) if row[p] < 0 else tuple(row) for row, p in zip(rows, pivots)
+    )
+
+
+def _reduce(m) -> tuple[list[list[int]], list[int]]:
+    """The reduced rows of m, before `rref` fixes their pivot signs, and
+    the pivot column of each (zero rows come last, without one)."""
     rows = [r for r in map(_primitive, m) if any(r)]
     pivots: list[int] = []
     for col in range(len(rows[0]) if rows else 0):
@@ -64,9 +73,7 @@ def rref(m) -> Matrix:
         pivots.append(col)
         if len(pivots) == len(rows):
             break
-    return tuple(
-        tuple(-x for x in row) if row[p] < 0 else tuple(row) for row, p in zip(rows, pivots)
-    )
+    return rows, pivots
 
 
 def rational_view(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -153,19 +160,40 @@ class Subspace:
         return _kernel_of_rref(self.basis, self.ambient_dim)
 
 
+def _products(equations: Matrix, basis: Matrix) -> list[list[int]]:
+    """M[i][j] = equations[i] · basis[j]: the equations evaluated on a basis."""
+    return [[sum(e * x for e, x in zip(eq, v)) for v in basis] for eq in equations]
+
+
+def _rank(m) -> int:
+    """Rank of an integer matrix; one nonzero row or one column needs no
+    elimination."""
+    rows = [r for r in m if any(r)]
+    if len(rows) < 2 or len(rows[0]) < 2:
+        return min(len(rows), 1)
+    return len(_reduce(rows)[1])
+
+
+def _cut(a: Subspace, m) -> Subspace:
+    """The vectors of a whose coefficients in a's basis M sends to zero:
+    the kernel of M, in dim a unknowns, combined from a's basis and
+    reduced."""
+    terms = [[(c, v) for c, v in zip(coeffs, a.basis) if c] for coeffs in kernel(m, a.dim)]
+    cut = [[sum(c * v[k] for c, v in row) for k in range(a.ambient_dim)] for row in terms]
+    return Subspace(a.ambient_dim, rref(cut))
+
+
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """a ∩ b as the kernel of b's equations on a's basis, or a itself when
     a ⊆ b, or b itself when a is the full space."""
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
-    m = [[sum(e * x for e, x in zip(eq, v)) for v in a.basis] for eq in b.annihilator]
+    m = _products(b.annihilator, a.basis)
     if not any(map(any, m)):
         return a
     if a.dim == a.ambient_dim:
         return b
-    terms = [[(c, v) for c, v in zip(coeffs, a.basis) if c] for coeffs in kernel(m, a.dim)]
-    cut = [[sum(c * v[k] for c, v in row) for k in range(a.ambient_dim)] for row in terms]
-    return Subspace(a.ambient_dim, rref(cut))
+    return _cut(a, m)
 
 
 # ---------------------------------------------------------------------------

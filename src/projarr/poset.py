@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from math import lcm
 
 from .arrangement import (
     Arrangement,
@@ -20,7 +21,7 @@ from .arrangement import (
     intersection_closure,
     restrict_to_hyperplane,
 )
-from .linalg import Subspace, rational_view
+from .linalg import Subspace
 
 
 @dataclass
@@ -66,29 +67,29 @@ class IntersectionPoset:
         return out
 
 
-def _sort_key(s: Subspace):
-    return (-s.dim, rational_view(s.basis))
-
-
 def build_poset(arr: Arrangement) -> IntersectionPoset:
     """The poset from the closure's member masks, with no further linear
     algebra.  Each element is the intersection of the members containing
-    it, so u ⊆ v iff mask(v) ⊆ mask(u), and u ∩ v is the largest element
-    whose mask contains mask(u) | mask(v)."""
+    it, so u ⊆ v iff mask(v) ⊆ mask(u).
+
+    Elements sort by (descending dim, rational RREF).  Every canonical row
+    is scaled by L ÷ its pivot, with L the lcm of all pivots, which makes
+    it L times its rational RREF row, so integer keys sort alike.  With
+    down[i] the bitset of the elements below element i, u ∩ v is the
+    lowest index in down(u) & down(v): every other common lower bound
+    lies in the meet and comes later, with a smaller dimension."""
     closure = intersection_closure(arr)
-    elements = sorted(closure, key=_sort_key)
+    pivots = {row: next(filter(None, row)) for s in closure for row in s.basis}
+    scale = lcm(*pivots.values())
+    elements = sorted(
+        closure,
+        key=lambda s: (-s.dim, [[x * (scale // pivots[row]) for x in row] for row in s.basis]),
+    )
     d = [s.dim - 1 for s in elements]
     masks = [closure[s] for s in elements]
-    m = len(elements)
     leq = [[mj & ~mi == 0 for mj in masks] for mi in masks]
-    meet = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i, m):
-            union = masks[i] | masks[j]
-            # elements are sorted by descending dimension and the meet lies
-            # in both, so the first mask containing the union is the meet
-            w = next(w for w in range(j, m) if masks[w] & union == union)
-            meet[i][j] = meet[j][i] = w
+    down = [sum(1 << i for i, mi in enumerate(masks) if mj & ~mi == 0) for mj in masks]
+    meet = [[((b := di & dj) & -b).bit_length() - 1 for dj in down] for di in down]
     return IntersectionPoset(arr, elements, d, leq, meet, masks)
 
 

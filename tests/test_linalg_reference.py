@@ -17,7 +17,7 @@ from projarr.arrangement import (
     intersection_closure,
     restrict_to_hyperplane,
 )
-from projarr.linalg import AmbientMismatch, Subspace, rational_view, rref, subspace_intersection
+from projarr.linalg import AmbientMismatch, Subspace, _rank, rational_view, rref, subspace_intersection
 from projarr.poset import build_poset, verify_eta
 
 BIG = 10**6
@@ -72,6 +72,20 @@ def sympy_rank(rows) -> int:
 @example([[Fraction(-BIG, 3), Fraction(1, BIG)], [Fraction(BIG, BIG - 3), Fraction(0)], [Fraction(2), Fraction(5, BIG)]])
 def test_rref_matches_sympy(m):
     assert rational_view(rref(m)) == sympy_rref(m)
+
+
+integer_matrices = st.integers(1, 5).flatmap(
+    lambda cols: st.lists(st.lists(st.integers(-BIG, BIG) | st.integers(-2, 2), min_size=cols, max_size=cols), min_size=1, max_size=5)
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(integer_matrices)
+@example([[0, 0], [0, 0]])
+@example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+@example([[0, 3], [0, -6], [0, 1]])
+def test_rank_matches_sympy(m):
+    assert _rank(m) == sympy_rank(m)
 
 
 negative_rationals = st.builds(Fraction, st.integers(-BIG, -1), st.integers(1, BIG))
@@ -204,19 +218,18 @@ def test_intersection_is_the_subspace_sympy_solves_for(case):
 @example(([[1, 0, 0, 0], [0, 1, 0, 0]], [0, 2, -3, 1]))
 @example(([[0, 3, 2, 0]], [0, 2, -3, 1]))  # a point inside ker h
 def test_cut_by_a_hyperplane_kernel_is_exact(case):
-    # a ∩ ker h, the intersection restrict_to_hyperplane makes: one
-    # equation, so M is 1 × dim a
+    # a ∩ ker h: one equation, so M is 1 × dim a
     rows, functional = case
     ambient_dim = len(functional)
     kernel_rows = [[_fraction(x) for x in v] for v in sympy.Matrix([functional]).nullspace()]
-    assert Hyperplane(tuple(functional)).kernel_subspace == Subspace.from_span(ambient_dim, kernel_rows)
+    assert Subspace.from_equations(ambient_dim, [functional]) == Subspace.from_span(ambient_dim, kernel_rows)
     _assert_exact_intersection(ambient_dim, rows, kernel_rows)
 
 
 def test_the_full_space_cut_by_a_proper_subspace_is_that_subspace_itself():
-    # so restrict_to_hyperplane(V, h) reuses the cached ker h, equations included
     h = Hyperplane((0, 2, -3, 1))
-    proper = [h.kernel_subspace, Subspace.from_span(4, [[1, 2, 3, 4]]), Subspace.from_span(4, [[0, 0, 0, 0]])]
+    kernel_of_h = Subspace.from_equations(4, [h.functional])
+    proper = [kernel_of_h, Subspace.from_span(4, [[1, 2, 3, 4]]), Subspace.from_span(4, [[0, 0, 0, 0]])]
     for b in proper:
         assert subspace_intersection(Subspace.full(4), b) is b
     cut = restrict_to_hyperplane(Subspace.full(4), h)
@@ -318,3 +331,68 @@ def test_section_with_pivot_off_column_zero(monkeypatch):
     monkeypatch.setattr("projarr.poset.generic_hyperplane", lambda poset, seed=0: h)
     report = verify_eta(poset)
     assert report.passed, report.detail
+
+
+def sympy_section(ambient_dim, rows, functional) -> tuple:
+    """The RREF basis of span(rows) ∩ ker h in the frame of ker h, by
+    sympy: the null space of the stacked equations, then frameᵀ·y = v
+    solved for each of its vectors, with the frame e_k − (h_k/h_j)·e_j
+    for k ≠ j and j the first nonzero column of h."""
+    hvec = sympy.Matrix([functional])
+    j = next(k for k, x in enumerate(functional) if x)
+    frame = sympy.Matrix(
+        [
+            [int(i == k) - (sympy.Rational(functional[k], functional[j]) if i == j else 0) for i in range(ambient_dim)]
+            for k in range(ambient_dim)
+            if k != j
+        ]
+    )
+    assert hvec * frame.T == sympy.zeros(1, ambient_dim - 1)
+    equations = [list(v) for v in sympy.Matrix(rows).nullspace()]
+    coords = []
+    for v in sympy.Matrix(equations + [functional]).nullspace():
+        y, params = frame.T.gauss_jordan_solve(v)
+        assert params.shape[0] == 0
+        coords.append(list(y))
+    return sympy_rref(coords) if coords else ()
+
+
+@st.composite
+def sections(draw):
+    """Rows of a subspace s and a functional h with leading zero columns,
+    s drawn independently, inside ker h, or a point off ker h."""
+    ambient_dim = draw(st.integers(2, 5))
+    entries = st.integers(-4, 4)
+    lead = draw(st.integers(0, ambient_dim - 1))
+    functional = [0] * lead + [draw(entries.filter(bool))]
+    functional += draw(st.lists(entries, min_size=ambient_dim - lead - 1, max_size=ambient_dim - lead - 1))
+    vectors = st.lists(entries, min_size=ambient_dim, max_size=ambient_dim)
+    rows = draw(st.lists(vectors, min_size=1, max_size=ambient_dim))
+
+    def value(v):
+        return sum(f * x for f, x in zip(functional, v))
+
+    relation = draw(st.sampled_from(["any", "inside ker h", "point off ker h"]))
+    if relation == "inside ker h":
+        # v ↦ h_j·v − h(v)·e_j projects into ker h
+        rows = [[functional[lead] * x - (value(v) if k == lead else 0) for k, x in enumerate(v)] for v in rows]
+    elif relation == "point off ker h":
+        v = rows[0]
+        rows = [v if value(v) else [x + (k == lead) for k, x in enumerate(v)]]
+    return ambient_dim, rows, functional
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(sections())
+@example((4, [[1, 0, 0, 0], [0, 1, 0, 0]], [0, 2, -3, 1]))  # pivot off column 0
+@example((4, [[1, 0, 0, 0], [0, 3, 2, 0]], [0, 2, -3, 1]))  # s ⊆ ker h
+@example((4, [[1, 1, 1, 1]], [0, 2, -3, 1]))  # a point off ker h
+@example((3, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [0, 0, 5]))  # s = V, h's pivot last
+@example((3, [[0, 0, 0]], [1, 2, 3]))  # s = 0
+def test_restriction_is_the_section_sympy_solves_for(case):
+    ambient_dim, rows, functional = case
+    s, h = Subspace.from_span(ambient_dim, rows), Hyperplane(tuple(functional))
+    got = restrict_to_hyperplane(s, h)
+    assert got.ambient_dim == ambient_dim - 1
+    assert rational_view(got.basis) == sympy_section(ambient_dim, rows, functional)
+    assert got.dim == s.dim - (not h.vanishes_on(s))

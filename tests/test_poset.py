@@ -2,6 +2,8 @@ import pathlib
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, assume, example, given, settings
+from hypothesis import strategies as st
 
 from arrangements import (
     boolean,
@@ -23,6 +25,7 @@ from projarr import (
     subspace_intersection,
     verify_eta,
 )
+from projarr.linalg import rational_view
 from projarr.poset import set_defect
 
 FIXTURE_DIR = pathlib.Path(__file__).parent.parent / "fixtures"
@@ -163,10 +166,10 @@ REFERENCE_CASES = [
 ]
 
 
-@pytest.mark.parametrize("arr", [arr for _, arr in REFERENCE_CASES], ids=[name for name, _ in REFERENCE_CASES])
-def test_mask_poset_matches_linear_algebra(arr):
+def _assert_poset_matches_linear_algebra(arr):
     # the mask-derived order and meet against containment and intersection
-    # computed by row reduction
+    # computed by row reduction, and the integer sort key against the
+    # rational one
     p = build_poset(arr)
     m = len(p.elements)
     for i, u in enumerate(p.elements):
@@ -175,6 +178,48 @@ def test_mask_poset_matches_linear_algebra(arr):
             assert p.leq[i][j] == v.contains(u), (i, j)
             assert p.meet[i][j] == p.index_of(subspace_intersection(u, v)), (i, j)
     assert len(set(p.masks)) == m
+    assert p.elements == sorted(p.elements, key=lambda s: (-s.dim, rational_view(s.basis)))
+
+
+@pytest.mark.parametrize("arr", [arr for _, arr in REFERENCE_CASES], ids=[name for name, _ in REFERENCE_CASES])
+def test_mask_poset_matches_linear_algebra(arr):
+    _assert_poset_matches_linear_algebra(arr)
+
+
+@st.composite
+def small_arrangements(draw):
+    """At most 5 members of mixed dimension in CP² or CP³, the last one
+    inside another member when the draw asks for it and one has room."""
+    ambient_dim = draw(st.integers(3, 4))
+    vectors = st.lists(st.integers(-2, 2), min_size=ambient_dim, max_size=ambient_dim)
+    members = []
+    for _ in range(draw(st.integers(1, 5))):
+        dim = draw(st.integers(1, ambient_dim - 1))
+        members.append(Subspace.from_span(ambient_dim, draw(st.lists(vectors, min_size=dim, max_size=dim))))
+    planes = [s for s in members[:-1] if s.dim >= 2]
+    if planes and draw(st.booleans()):
+        outer = draw(st.sampled_from(planes))
+        coeffs = st.lists(st.integers(-3, 3), min_size=outer.dim, max_size=outer.dim)
+        rows = draw(st.lists(coeffs, min_size=1, max_size=outer.dim - 1))
+        members[-1] = Subspace.from_span(
+            ambient_dim, [[sum(c * v[k] for c, v in zip(row, outer.basis)) for k in range(ambient_dim)] for row in rows]
+        )
+        assume(outer.contains(members[-1]))
+    assume(all(0 < s.dim < ambient_dim for s in members) and len(set(members)) == len(members))
+    return Arrangement(ambient_dim, tuple(members))
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(small_arrangements())
+@example(Arrangement(4, (span(4, (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)), span(4, (1, 2, 0, 0)), span(4, (0, 0, 1, 1)))))
+@example(Arrangement(4, (span(4, (1, 0, 0, 0), (0, 1, 0, 0)), span(4, (0, 0, 1, 0), (0, 0, 0, 1)), span(4, (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))))
+def test_mask_poset_matches_linear_algebra_on_random_arrangements(arr):
+    _assert_poset_matches_linear_algebra(arr)
 
 
 def test_non_generic_posets():

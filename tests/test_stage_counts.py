@@ -1,24 +1,26 @@
 """Each pipeline stage runs once per CLI command, cycles are
 coordinatized by reading one column of V⁻¹ per nonzero, homology asks
 Smith normal form only for the transforms it reads, subspaces are
-intersected in the first one's coordinates, and a product of the ring
-table enters no public chain function but `meet_product` and `class_of`.
+intersected in the first one's coordinates, the closure reduces once per
+element it cuts, and a product of the ring table enters no public chain
+function but `meet_product` and `class_of`.
 
 Calls are counted by code object through `sys.setprofile`, so a stage
 reached through an alias (`from .poset import build_poset`) or a wrapper
 is still counted.
 """
 
+import importlib.util
 import inspect
 import os
 import sys
 
 import pytest
 
-from projarr import chains, ring
-from projarr.arrangement import intersection_closure
+from projarr import chains, linalg, ring
+from projarr.arrangement import intersection_closure, parse_arrangement
 from projarr.cli import main
-from projarr.linalg import kernel, subspace_intersection
+from projarr.linalg import Subspace, kernel, rref, subspace_intersection
 from projarr.poset import build_poset
 from projarr.ring import decompose
 
@@ -155,16 +157,17 @@ def test_homology_carries_only_the_transforms_it_reads(capsys, monkeypatch, flag
 
 @pytest.mark.parametrize("flags", [["verify"], ["presentation", "--c", "1"], ["presentation", "--c", "2"]], ids=" ".join)
 def test_intersections_are_solved_in_the_first_subspace_s_coordinates(capsys, flags):
-    # every kernel that subspace_intersection(a, b) solves has dim a
-    # unknowns (the coefficients of a ∩ b in a's basis), never ambient_dim
-    seen = []  # (ncols, a.dim, a.ambient_dim) per kernel call
+    # every kernel the cut of q by a member solves has dim q unknowns (the
+    # coefficients of the meet in q's basis), never ambient_dim.  The
+    # closure and subspace_intersection both cut through linalg._cut.
+    seen = []  # (ncols, q.dim, q.ambient_dim) per kernel call
 
     def profile(frame, event, arg):
         if event == "call" and frame.f_code is kernel.__code__:
             caller = frame.f_back
-            if caller.f_code is subspace_intersection.__code__:
-                a = caller.f_locals["a"]
-                seen.append((frame.f_locals["ncols"], a.dim, a.ambient_dim))
+            if caller.f_code is linalg._cut.__code__:
+                q = caller.f_locals["a"]
+                seen.append((frame.f_locals["ncols"], q.dim, q.ambient_dim))
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -175,6 +178,65 @@ def test_intersections_are_solved_in_the_first_subspace_s_coordinates(capsys, fl
         sys.setprofile(previous)
     assert any(dim < ambient for _, dim, ambient in seen)
     assert all(ncols == dim for ncols, dim, _ in seen)
+
+
+def closure_work(arr):
+    """The closure of arr, the row reductions its cuts make, and the
+    subspace_intersection calls it makes."""
+    cut, closure = linalg._cut.__code__, intersection_closure.__code__
+    reductions = meets = 0
+
+    def profile(frame, event, arg):
+        nonlocal reductions, meets
+        if event != "call":
+            return
+        if frame.f_code is rref.__code__ and frame.f_back.f_code is cut and frame.f_back.f_back.f_code is closure:
+            reductions += 1
+        elif frame.f_code is subspace_intersection.__code__:
+            meets += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = intersection_closure(arr)
+    finally:
+        sys.setprofile(previous)
+    return result, reductions, meets
+
+
+def _closure_cases():
+    """Every fixture, and the first ten-line arrangement of the benchmark's
+    line-affine workload at two seeds (perfbench/generators.py, loaded by
+    path, imports nothing of projarr)."""
+    cases = []
+    for name in sorted(os.listdir(FIXTURES)):
+        with open(os.path.join(FIXTURES, name)) as fh:
+            cases.append((name[:-5], parse_arrangement(fh.read())))
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "generators.py")
+    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
+    generators = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = generators  # dataclasses look their module up here
+    spec.loader.exec_module(generators)
+    for seed in (3, 11):
+        job = generators.jobs_for("line-affine", seed)[0]
+        cases.append((f"{job.name} seed {seed}", parse_arrangement(generators.input_bytes(job).decode())))
+    return cases
+
+
+CLOSURE_CASES = _closure_cases()
+
+
+@pytest.mark.parametrize("arr", [arr for _, arr in CLOSURE_CASES], ids=[name for name, _ in CLOSURE_CASES])
+def test_the_closure_reduces_once_per_element_it_cuts(arr):
+    # V, the members and 0 need no reduction; every other element is cut
+    # from one element by one member, and reduced once
+    closure, reductions, meets = closure_work(arr)
+    zero = Subspace(arr.ambient_dim, ())
+    cut = len(closure) - 1 - len(arr.subspaces) - (zero in closure)
+    assert (reductions, meets) == (cut, 0)
+    if len(arr.subspaces) == 10:
+        # 4 triple points and 33 double points
+        assert (len(closure), reductions) == (49, 37)
 
 
 def chain_calls_per_product(argv):
