@@ -82,12 +82,8 @@ class Hyperplane:
     def ambient_dim(self) -> int:
         return len(self.functional)
 
-    def values(self, rows) -> list[int]:
-        """h(v) for each row v."""
-        return [sum(f * x for f, x in zip(self.functional, v)) for v in rows]
-
     def vanishes_on(self, s: Subspace) -> bool:
-        return not any(self.values(s.basis))
+        return not any(_products((self.functional,), s.basis)[0])
 
 
 # Fraction("1e999999999") computes 10**999999999.  Digit strings are
@@ -231,13 +227,13 @@ def restrict_to_hyperplane(s: Subspace, h: Hyperplane) -> Subspace:
     e_k − (h_k/h_j)·e_j for k ≠ j in order, so the frame coordinates of a
     vector of ker(h) are its entries with column j dropped.
     """
-    c = h.values(s.basis)
+    c = _products((h.functional,), s.basis)[0]
     p = next((i for i, x in enumerate(c) if x), None)
     cut = list(s.basis)
     if p is not None:
         bp, cp = cut.pop(p), c.pop(p)
         cut = [[cp * x - ci * y for x, y in zip(b, bp)] for b, ci in zip(cut, c)]
-    if any(h.values(cut)):
+    if any(_products((h.functional,), cut)[0]):
         raise RuntimeError("vector not in hyperplane frame")
     j = next(k for k, x in enumerate(h.functional) if x != 0)
     return Subspace.from_span(h.ambient_dim - 1, [v[:j] + v[j + 1:] for v in cut])

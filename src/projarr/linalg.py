@@ -185,14 +185,12 @@ def _cut(a: Subspace, m) -> Subspace:
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:
     """a ∩ b as the kernel of b's equations on a's basis, or a itself when
-    a ⊆ b, or b itself when a is the full space."""
+    a ⊆ b."""
     if a.ambient_dim != b.ambient_dim:
         raise AmbientMismatch("ambient dimensions differ")
     m = _products(b.annihilator, a.basis)
     if not any(map(any, m)):
         return a
-    if a.dim == a.ambient_dim:
-        return b
     return _cut(a, m)
 
 

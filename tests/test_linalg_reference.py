@@ -226,12 +226,12 @@ def test_cut_by_a_hyperplane_kernel_is_exact(case):
     _assert_exact_intersection(ambient_dim, rows, kernel_rows)
 
 
-def test_the_full_space_cut_by_a_proper_subspace_is_that_subspace_itself():
+def test_the_full_space_cut_by_a_proper_subspace_is_that_subspace():
     h = Hyperplane((0, 2, -3, 1))
     kernel_of_h = Subspace.from_equations(4, [h.functional])
     proper = [kernel_of_h, Subspace.from_span(4, [[1, 2, 3, 4]]), Subspace.from_span(4, [[0, 0, 0, 0]])]
     for b in proper:
-        assert subspace_intersection(Subspace.full(4), b) is b
+        assert subspace_intersection(Subspace.full(4), b) == b
     cut = restrict_to_hyperplane(Subspace.full(4), h)
     assert cut == Subspace.full(3)
 

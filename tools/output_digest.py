@@ -1,12 +1,11 @@
 """One SHA-256 over every CLI command on a fixed set of inputs.
 
-    python3 tools/output_digest.py           # prints the digest
-    python3 tools/output_digest.py --each    # also one line per run, on stderr
+    python3 tools/output_digest.py
 
 Run from anywhere; projarr is imported from the `src/` next to this
 script.  The inputs are every file in `fixtures/`, `boolean(4)`,
-`generic_hyperplanes(3,6)` and `generic_hyperplanes(4,5)` (as in
-`tests/arrangements.py`), and the benchmark inputs of seeds 3 and 11
+`generic_hyperplanes(3,6)` and `generic_hyperplanes(4,5)` from
+`tests/arrangements.py`, and the benchmark inputs of seeds 3 and 11
 (`perfbench/generators.py`).  On each input it runs `ring`,
 `ring --affine i` for every hyperplane member i, `verify`, `homology`,
 `poset`, `oracle` and `presentation --c 1|2|3`, in-process through
@@ -17,7 +16,6 @@ with the same digest give byte-identical output on all of them.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import hashlib
 import io
@@ -27,37 +25,31 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import generators  # noqa: E402
-from projarr import parse_arrangement  # noqa: E402
+from arrangements import boolean, generic_hyperplanes  # noqa: E402
+from projarr import Arrangement, parse_arrangement  # noqa: E402
 from projarr.cli import main  # noqa: E402
 
 SEEDS = (3, 11)
 
 
-def _hyperplanes_doc(functionals) -> dict:
-    ambient_dim = len(functionals[0])
-    members = [{"equations": [[str(x) for x in f]]} for f in functionals]
-    return {"ambient_dim": ambient_dim, "subspaces": members}
-
-
-def boolean(n: int) -> dict:
-    """The n+1 coordinate hyperplanes in CP^n."""
-    return _hyperplanes_doc([[int(i == j) for j in range(n + 1)] for i in range(n + 1)])
-
-
-def generic_hyperplanes(n: int, m: int) -> dict:
-    """Kernels of the Vandermonde functionals (i+1)^j, j = 0..n, i < m."""
-    return _hyperplanes_doc([[(i + 1) ** j for j in range(n + 1)] for i in range(m)])
+def to_json(arr: Arrangement) -> str:
+    """The arrangement in the input format: each member by its basis."""
+    members = [
+        {"name": name, "span": [list(row) for row in s.basis]}
+        for name, s in zip(arr.names, arr.subspaces)
+    ]
+    return json.dumps({"ambient_dim": arr.ambient_dim, "subspaces": members})
 
 
 def inputs() -> dict[str, str]:
     """Input name -> JSON text."""
     out = {path.stem: path.read_text() for path in sorted((ROOT / "fixtures").glob("*.json"))}
-    out["boolean(4)"] = json.dumps(boolean(4))
-    out["generic_hyperplanes(3,6)"] = json.dumps(generic_hyperplanes(3, 6))
-    out["generic_hyperplanes(4,5)"] = json.dumps(generic_hyperplanes(4, 5))
+    out["boolean(4)"] = to_json(boolean(4))
+    out["generic_hyperplanes(3,6)"] = to_json(generic_hyperplanes(3, 6))
+    out["generic_hyperplanes(4,5)"] = to_json(generic_hyperplanes(4, 5))
     for seed in SEEDS:
         for workload in generators.WORKLOADS:
             for job in generators.jobs_for(workload, seed):
@@ -87,7 +79,7 @@ def run(argv: list[str]) -> str:
     return json.dumps([out.getvalue(), err.getvalue(), result])
 
 
-def main_digest(each: bool) -> str:
+def digest() -> str:
     total = hashlib.sha256()
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in inputs().items():
@@ -96,13 +88,8 @@ def main_digest(each: bool) -> str:
             for argv in commands(text):
                 record = json.dumps([name, argv]) + "\n" + run(argv + [str(path)]) + "\n"
                 total.update(record.encode())
-                if each:
-                    line = hashlib.sha256(record.encode()).hexdigest()[:16]
-                    print(f"{line}  {name}  {' '.join(argv)}", file=sys.stderr)
     return total.hexdigest()
 
 
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--each", action="store_true", help="print one hash per run on stderr")
-    print(main_digest(parser.parse_args().each))
+    print(digest())
