@@ -179,9 +179,14 @@ class HomologySummary:
             return self.degrees[r]
         return DegreeHomology.empty()
 
+    def classes_of(self, chains: list[IntChain], r: int) -> list[list[int]]:
+        """The coordinates of each degree-r cycle of chains, all read off
+        one degree of this summary; NotACycle on the first non-cycle."""
+        index, dh = self.complex.index[r], self.degree(r)
+        return [dh._coordinatize([(index[s], c) for s, c in chain.items() if c]) for chain in chains]
+
     def class_of(self, chain: IntChain, r: int) -> list[int]:
-        entries = [(self.complex.index[r][s], c) for s, c in chain.items() if c]
-        return self.degree(r)._coordinatize(entries)
+        return self.classes_of([chain], r)[0]
 
 
 def _kernel_coords(vinv: list[Column], rank_out: int, entries) -> list[int] | None:
@@ -392,14 +397,19 @@ def _meet_shuffle(poset: IntersectionPoset, c: IntChain, d: IntChain) -> IntChai
     return {s: x for s, x in out.items() if x}
 
 
+def _meet_at_level(poset: IntersectionPoset, floor: int, c: IntChain, d: IntChain) -> IntChain:
+    """The meet product of relative chains, checked against the
+    semimodular bound: every vertex of the image has d >= floor."""
+    result = _meet_shuffle(poset, c, d)
+    for s in result:
+        if min(poset.d[v] for v in s) < floor:
+            raise RuntimeError(f"semimodular bound violated: {s} has a vertex below level {floor}")
+    return result
+
+
 def meet_product(poset: IntersectionPoset, k: int, l: int, c: IntChain, d: IntChain) -> IntChain:
     """The chain-level product landing in the level-(k+l-n) relative complex."""
     n = poset.n
     if k + l < n:
         raise ValueError("meet_product requires k + l >= n")
-    result = _meet_shuffle(poset, c, d)
-    floor = k + l - n
-    for s in result:
-        if min(poset.d[v] for v in s) < floor:
-            raise RuntimeError(f"semimodular bound violated: {s} has a vertex below level {floor}")
-    return result
+    return _meet_at_level(poset, k + l - n, c, d)

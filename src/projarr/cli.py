@@ -64,6 +64,8 @@ def _json_into(value, out: list[str], newline: str) -> None:
         out.append("null" if value is None else "true" if value else "false")
     elif isinstance(value, int):
         out.append(int.__repr__(value))
+    elif isinstance(value, _Products):
+        _products_json(value, out, newline)
     elif not isinstance(value, (dict, list, tuple)):
         out.append(json.dumps(value))  # floats
     elif not value:
@@ -88,11 +90,51 @@ def _json_into(value, out: list[str], newline: str) -> None:
         out.append(newline + "]")
 
 
+class _Products:
+    """A ring table's products array: its (i, j, result pairs) entries in
+    (i, j) order, read straight from the table by both writers."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def __iter__(self):
+        products, ids = self.table.products, range(len(self.table.basis))
+        for i in ids:
+            for j in ids:
+                yield i, j, products[(i, j)].items()
+
+
+def _products_json(products: _Products, out: list[str], newline: str) -> None:
+    """The entries as `json.dumps(indent=2)` writes the list of
+    {"i": i, "j": j, "result": [[t, c], ...]}, one fixed format each."""
+    entry, key, pair, num = (newline + "  " * depth for depth in (1, 2, 3, 4))
+    sep = "[" + entry
+    for i, j, result in products:
+        if result:
+            items = ("," + pair).join([f"[{num}{t},{num}{c}{pair}]" for t, c in result])
+            body = f"[{pair}{items}{key}]"
+        else:
+            body = "[]"
+        out.append(f'{sep}{{{key}"i": {i},{key}"j": {j},{key}"result": {body}{entry}}}')
+        sep = "," + entry
+    out.append(newline + "]")
+
+
 def _emit_text(doc, indent=0):
     pad = "  " * indent
-    if isinstance(doc, dict):
+    if isinstance(doc, _Products):
+        pad += "  "
+        for i, j, result in doc:
+            print(f"{pad}i: {i}\n{pad}j: {j}")
+            if result:
+                print(f"{pad}result:")
+                for t, c in result:
+                    print(f"{pad}    - {t}\n{pad}    - {c}")
+            else:
+                print(f"{pad}result: []")
+    elif isinstance(doc, dict):
         for key, val in doc.items():
-            if isinstance(val, (dict, list)) and val:
+            if isinstance(val, (dict, list, _Products)) and val:
                 print(f"{pad}{key}:")
                 _emit_text(val, indent + 1)
             else:
@@ -184,10 +226,7 @@ def cmd_ring(arr, args):
         "basis": basis_doc,
         "poincare": table.poincare,
         "torsion": [b.torsion_order for b in table.basis if b.torsion_order],
-        "products": [
-            {"i": i, "j": j, "result": sorted([t, c] for t, c in entry.items())}
-            for (i, j), entry in sorted(table.products.items())
-        ],
+        "products": _Products(table),
     }
     _emit(doc, args.format)
     return 0

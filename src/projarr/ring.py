@@ -13,15 +13,16 @@ projective space are ever built.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 from .chains import (
     HomologySummary,
     IntChain,
+    _meet_at_level,
     _meet_shuffle,
     build_local_complex,
     build_relative_complex,
     homology,
-    meet_product,
 )
 from .poset import IntersectionPoset
 
@@ -58,7 +59,7 @@ class RingTable:
     poset: IntersectionPoset
     summaries: dict[int, HomologySummary]  # summand -> its homology
     basis: list[RingBasisElement]
-    products: dict[tuple[int, int], RingElement]
+    products: dict[tuple[int, int], RingElement]  # (i, j) -> entry, its keys increasing
     poincare: list[int]
     ids: dict[tuple[int, int], list[int]]  # (summand, r) -> basis ids by generator index
 
@@ -100,14 +101,18 @@ class RingTable:
         return {self.ids[(summand, r)][i]: c for i, c in enumerate(coords) if c}
 
 
-def _ring(poset, summaries, degree_of, order, product) -> RingTable:
-    """Assemble the table of a graded sum of summaries.
+def _ring(poset, summaries, degree_of, order, block) -> RingTable:
+    """Assemble the table of a graded sum of summaries, one block of
+    basis pairs at a time.
 
     degree_of(summand, r) is the cohomological degree, order the basis
-    sort key, and product(a, b, c, d) the (summand, chain) that basis
-    elements a, b with representatives c, d multiply to, or None when
-    the product vanishes.  Every sort key ends in the generator index,
-    so ids of one (summand, r) come out in generator order.
+    sort key, and block(a, b) decides the product of summands a and b
+    once for all their classes: None when it vanishes, else the target
+    summand and the chain-level product of two representatives.  A block
+    whose target has no cells in the product degree vanishes too.  Every
+    sort key ends in the generator index, so ids of one (summand, r)
+    come out in generator order, and the keys of each product entry
+    increase.
     """
     basis = [
         RingBasisElement(s, r, idx, degree_of(s, r), gen.order)
@@ -123,28 +128,36 @@ def _ring(poset, summaries, degree_of, order, product) -> RingTable:
     for b in basis:
         if b.torsion_order == 0:
             poincare[b.degree] += 1
-    table = RingTable(poset, summaries, basis, {}, poincare, ids)
-    reps = [table.representative(i) for i in range(len(basis))]
-    for i, a in enumerate(basis):
-        for j, b in enumerate(basis):
-            hit = product(a, b, reps[i], reps[j])
-            table.products[(i, j)] = table.element(hit[0], a.r + b.r, hit[1]) if hit else {}
+    indices = range(len(basis))
+    products = {(i, j): {} for i in indices for j in indices}
+    table = RingTable(poset, summaries, basis, products, poincare, ids)
+    reps = [table.representative(i) for i in indices]
+    for (a, ra), rows in ids.items():
+        for (b, rb), cols in ids.items():
+            r = ra + rb
+            hit = block(a, b)
+            if hit is None or summaries[hit[0]].complex.dim(r) == 0:
+                continue
+            target, multiply = hit
+            chains = [multiply(reps[i], reps[j]) for i in rows for j in cols]
+            coords = iter(summaries[target].classes_of(chains, r))
+            out = ids.get((target, r))
+            for i in rows:
+                for j in cols:
+                    products[(i, j)] = {out[t]: c for t, c in enumerate(next(coords)) if c}
     return table
 
 
 def ring_table(dec: Decomposition) -> RingTable:
     poset, n = dec.poset, dec.n
-    summaries = dict(enumerate(dec.summaries))
 
-    def product(a, b, c, d):
-        m = a.summand + b.summand - n
-        if m < 0 or summaries[m].complex.dim(a.r + b.r) == 0:
-            return None
-        return m, meet_product(poset, a.summand, b.summand, c, d)
+    def block(k, l):
+        m = k + l - n
+        return None if m < 0 else (m, partial(_meet_at_level, poset, m))
 
     return _ring(
-        poset, summaries, lambda k, r: 2 * n - 2 * k - r,
-        lambda b: (b.degree, -b.summand, b.r, b.index), product,
+        poset, dict(enumerate(dec.summaries)), lambda k, r: 2 * n - 2 * k - r,
+        lambda b: (b.degree, -b.summand, b.r, b.index), block,
     )
 
 
@@ -220,13 +233,13 @@ def affine_decompose(poset: IntersectionPoset, infinity_index: int) -> RingTable
         for u in range(len(poset.elements)) if not poset.leq[u][a0]
     }
 
-    def product(a, b, c, d):
-        w = poset.meet[a.summand][b.summand]
-        if w not in summaries or poset.d[w] != poset.d[a.summand] + poset.d[b.summand] - n:
+    def block(u, v):
+        w = poset.meet[u][v]
+        if w not in summaries or poset.d[w] != poset.d[u] + poset.d[v] - n:
             return None
-        return w, _meet_shuffle(poset, c, d)
+        return w, partial(_meet_shuffle, poset)
 
     return _ring(
         poset, summaries, lambda u, m: 2 * n - 2 * poset.d[u] - m,
-        lambda b: (b.degree, poset.d[b.summand], b.summand, b.r, b.index), product,
+        lambda b: (b.degree, poset.d[b.summand], b.summand, b.r, b.index), block,
     )

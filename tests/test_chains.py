@@ -28,6 +28,7 @@ from projarr.chains import (
 )
 from projarr.poset import build_poset
 from projarr.presentation import atomic_complex
+from projarr.ring import Decomposition, decompose, ring_table
 
 FIXTURES = [
     empty(2),
@@ -172,6 +173,9 @@ def test_meet_product_checks_semimodular_bound():
     broken = dataclasses.replace(poset, d=d)
     with pytest.raises(RuntimeError, match="semimodular bound"):
         meet_product(broken, n, n, unit, unit)
+    # the ring table runs the same check on every projective product
+    with pytest.raises(RuntimeError, match="semimodular bound"):
+        ring_table(Decomposition(broken, decompose(poset).summaries))
 
 
 def test_coordinatize_rejects_non_cycles():

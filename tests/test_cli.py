@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from projarr import Subspace, cli
+from projarr import Subspace, cli, parse_arrangement
 from projarr.cli import main
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -231,6 +231,15 @@ EMIT_COMMANDS = [
 ]
 
 
+def plain(doc):
+    """doc with a streamed products array replaced by the list of the
+    same entries, which json.dumps can encode."""
+    if not isinstance(doc, dict) or not isinstance(doc.get("products"), cli._Products):
+        return doc
+    entries = [{"i": i, "j": j, "result": [list(p) for p in result]} for i, j, result in doc["products"]]
+    return {**doc, "products": entries}
+
+
 def test_json_writer_matches_json_dumps_on_every_command_document(capsys, monkeypatch):
     docs = []
     monkeypatch.setattr(cli, "_emit", lambda doc, fmt: docs.append(doc))
@@ -238,8 +247,50 @@ def test_json_writer_matches_json_dumps_on_every_command_document(capsys, monkey
         for flags in EMIT_COMMANDS:
             main(flags + [os.path.join(FIXTURES, name)])
     assert len(docs) >= 5 * len(os.listdir(FIXTURES))
+    assert sum(plain(doc) is not doc for doc in docs) > len(os.listdir(FIXTURES))
     for doc in docs:
-        assert cli._json(doc) == json.dumps(doc, indent=2)
+        assert cli._json(doc) == json.dumps(plain(doc), indent=2)
+
+
+def reference_products(table):
+    """The products array as one document per basis pair: the reference
+    the array written straight from the table must match."""
+    return [
+        {"i": i, "j": j, "result": sorted([t, c] for t, c in entry.items())}
+        for (i, j), entry in sorted(table.products.items())
+    ]
+
+
+def ring_runs():
+    """`ring`, and `ring --affine i` per hyperplane member i, on every fixture."""
+    runs = []
+    for name in sorted(os.listdir(FIXTURES)):
+        path = os.path.join(FIXTURES, name)
+        with open(path) as fh:
+            arr = parse_arrangement(fh.read())
+        runs.append(["ring", path])
+        runs += [["ring", "--affine", str(i), path] for i, s in enumerate(arr.subspaces) if s.dim == arr.n]
+    return runs
+
+
+def test_ring_output_is_the_reference_document_byte_for_byte(capsys, monkeypatch):
+    docs, tables = [], []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda doc, fmt: docs.append(doc) or emit(doc, fmt))
+    for builder in ("ring_table", "affine_decompose"):
+        build = getattr(cli, builder)
+        monkeypatch.setattr(cli, builder, lambda *args, build=build: tables.append(build(*args)) or tables[-1])
+    runs = ring_runs()
+    assert sum("--affine" in argv for argv in runs) >= 10
+    for argv in runs:
+        assert main(argv) == 0
+        reference = {**docs[-1], "products": reference_products(tables[-1])}
+        assert capsys.readouterr().out == json.dumps(reference, indent=2) + "\n"
+        # the text writer reads the same entries
+        assert main(argv + ["--format", "text"]) == 0
+        text = capsys.readouterr().out
+        cli._emit_text(reference)
+        assert text == capsys.readouterr().out
 
 
 def test_json_writer_matches_json_dumps_on_awkward_values():

@@ -2,8 +2,8 @@
 coordinatized by reading one column of V⁻¹ per nonzero, homology asks
 Smith normal form only for the transforms it reads, subspaces are
 intersected in the first one's coordinates, the closure reduces once per
-element it cuts, and a product of the ring table enters no public chain
-function but `meet_product` and `class_of`.
+element it cuts, and the ring table enters no public chain function and
+reads classes once per live block of basis pairs.
 
 Calls are counted by code object through `sys.setprofile`, so a stage
 reached through an alias (`from .poset import build_poset`) or a wrapper
@@ -95,10 +95,11 @@ class CountingColumns(list):
 
 @pytest.mark.parametrize("flags", HOMOLOGY_FLAGS, ids=" ".join)
 def test_cycles_are_coordinatized_without_dense_matvec(capsys, monkeypatch, flags):
-    # class_of on a chain with t nonzeros reads exactly t columns of V⁻¹,
-    # on every complex homology is computed for
-    original_homology, original_class_of = chains.homology, chains.HomologySummary.class_of
-    reads = []  # (columns read, nonzeros) per class_of call
+    # the class reader, on a block of chains with t nonzeros in all,
+    # reads exactly t columns of V⁻¹, on every complex homology is
+    # computed for; class_of is its one-chain case
+    original_homology, original_classes_of = chains.homology, chains.HomologySummary.classes_of
+    reads = []  # (columns read, nonzeros, chains) per reader call
 
     def homology(cx):
         summary = original_homology(cx)
@@ -106,22 +107,27 @@ def test_cycles_are_coordinatized_without_dense_matvec(capsys, monkeypatch, flag
             degree._vinv = CountingColumns(degree._vinv)
         return summary
 
-    def class_of(self, chain, r):
+    def classes_of(self, chain_list, r):
         vinv = self.degree(r)._vinv
         before = getattr(vinv, "reads", 0)
-        coords = original_class_of(self, chain, r)
-        reads.append((getattr(vinv, "reads", 0) - before, sum(1 for c in chain.values() if c)))
+        coords = original_classes_of(self, chain_list, r)
+        nonzeros = sum(1 for chain in chain_list for c in chain.values() if c)
+        reads.append((getattr(vinv, "reads", 0) - before, nonzeros, len(chain_list)))
         return coords
 
     for module in ("ring", "presentation"):
         monkeypatch.setattr(f"projarr.{module}.homology", homology)
-    monkeypatch.setattr(chains.HomologySummary, "class_of", class_of)
+    monkeypatch.setattr(chains.HomologySummary, "classes_of", classes_of)
     succeeded = 0
     for name in sorted(os.listdir(FIXTURES)):
         succeeded += main(flags + [os.path.join(FIXTURES, name)]) == 0
     assert succeeded >= 2
-    assert sum(t for _, t in reads) > 0
-    assert all(read == t for read, t in reads)
+    assert sum(t for _, t, _ in reads) > 0
+    assert all(read == t for read, t, _ in reads)
+    if flags == ["ring"]:
+        # the table reads its products a block at a time (an affine block
+        # on these fixtures holds one pair)
+        assert any(count > 1 for _, _, count in reads)
 
 
 @pytest.mark.parametrize("flags", HOMOLOGY_FLAGS, ids=" ".join)
@@ -239,17 +245,18 @@ def test_the_closure_reduces_once_per_element_it_cuts(arr):
         assert (len(closure), reductions) == (49, 37)
 
 
-def chain_calls_per_product(argv):
-    """Exit code and, per product the ring table computes, the public
-    `chains` functions entered from the moment its product rule is called
-    until the next one is, coordinatizing its result included."""
+def chain_calls_in_table(argv):
+    """Exit code, the ring table, the public `chains` functions entered
+    while `ring._ring` assembles it (by name), and the class reads it
+    makes (`class_of` or `classes_of` calls)."""
     public = {
         f.__code__: name for name, f in vars(chains).items()
         if inspect.isfunction(f) and f.__module__ == chains.__name__ and not name.startswith("_")
     }
-    public[chains.HomologySummary.class_of.__code__] = "class_of"
+    readers = {chains.HomologySummary.class_of.__code__, chains.HomologySummary.classes_of.__code__}
     assemble = ring._ring.__code__
-    entered = []  # per product, the names entered
+    entered, tables = [], []
+    reads = 0
 
     def in_assembly(frame):
         while frame is not None and frame.f_code is not assemble:
@@ -257,12 +264,15 @@ def chain_calls_per_product(argv):
         return frame is not None
 
     def profile(frame, event, arg):
-        if event != "call":
+        nonlocal reads
+        if event == "return" and frame.f_code is assemble:
+            tables.append(arg)
+        elif event != "call":
             return
-        if frame.f_code.co_name == "product" and frame.f_back.f_code is assemble:
-            entered.append([])
         elif frame.f_code in public and in_assembly(frame):
-            entered[-1].append(public[frame.f_code])
+            entered.append(public[frame.f_code])
+        elif frame.f_code in readers and frame.f_back.f_code not in readers and in_assembly(frame):
+            reads += 1
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -270,20 +280,44 @@ def chain_calls_per_product(argv):
         code = main(argv)
     finally:
         sys.setprofile(previous)
-    return code, entered
+    return code, tables, entered, reads
+
+
+def live_blocks(table, affine):
+    """The blocks of basis pairs, one per pair of (summand, r) groups,
+    whose product can be nonzero, and the basis pairs in them: the target
+    summand exists (level k + l - n, or u ∧ v of dimension
+    d(u) + d(v) - n) and has cells in degree r + s."""
+    poset, n = table.poset, table.n
+    blocks = pairs = 0
+    for (a, r), rows in table.ids.items():
+        for (b, s), cols in table.ids.items():
+            if affine:
+                w = poset.meet[a][b]
+                live = w in table.summaries and poset.d[w] == poset.d[a] + poset.d[b] - n
+            else:
+                w = a + b - n
+                live = w >= 0
+            if live and table.summaries[w].complex.dim(r + s):
+                blocks += 1
+                pairs += len(rows) * len(cols)
+    return blocks, pairs
 
 
 @pytest.mark.parametrize("name", ["boolean_cp3", "generic4_cp2", "skew_lines3"])
 @pytest.mark.parametrize("flags", [["ring"], ["ring", "--affine", "0"]], ids=" ".join)
-def test_a_product_enters_only_meet_product_and_class_of(capsys, flags, name):
-    # projective: meet_product once, then class_of on its result; affine:
-    # the meet kernel directly, then class_of.  skew_lines3 has no
-    # hyperplane to send to infinity, so --affine 0 refuses it.
-    code, entered = chain_calls_per_product(flags + [os.path.join(FIXTURES, name + ".json")])
+def test_the_table_reads_classes_once_per_live_block(capsys, flags, name):
+    # no public chains function per basis pair: the meet product runs the
+    # private kernel, and each live block's chains are coordinatized in
+    # one read.  skew_lines3 has no hyperplane to send to infinity, so
+    # --affine 0 refuses it.
+    code, tables, entered, reads = chain_calls_in_table(flags + [os.path.join(FIXTURES, name + ".json")])
     if name == "skew_lines3" and "--affine" in flags:
-        assert (code, entered) == (2, [])
+        assert (code, tables, entered, reads) == (2, [], [], 0)
         return
-    assert code == 0
-    meet = ["meet_product"] if flags == ["ring"] else []
-    assert entered and all(calls in ([], meet + ["class_of"]) for calls in entered)
-    assert sum(calls == meet + ["class_of"] for calls in entered) > 10
+    assert code == 0 and len(tables) == 1
+    blocks, pairs = live_blocks(tables[0], "--affine" in flags)
+    assert entered == []
+    assert 0 < reads <= blocks <= pairs
+    if flags == ["ring"]:
+        assert blocks < pairs

@@ -8,7 +8,8 @@ script.  The inputs are every file in `fixtures/`, `boolean(4)`,
 `tests/arrangements.py`, and the benchmark inputs of seeds 3 and 11
 (`perfbench/generators.py`).  On each input it runs `ring`,
 `ring --affine i` for every hyperplane member i, `verify`, `homology`,
-`poset`, `oracle` and `presentation --c 1|2|3`, in-process through
+`poset`, `oracle`, `presentation --c 1|2|3`, and then `ring` and each
+`ring --affine i` again with `--format text`, in-process through
 `projarr.cli.main`.  The digest covers each run's input name, argv,
 stdout, stderr and exit code (or the exception it raised), so two trees
 with the same digest give byte-identical output on all of them.
@@ -65,7 +66,9 @@ def commands(text: str) -> list[list[str]]:
         if s.dim == arr.ambient_dim - 1
     ]
     presentations = [["presentation", "--c", str(c)] for c in (1, 2, 3)]
-    return [["ring"], *affine, ["verify"], ["homology"], ["poset"], ["oracle"], *presentations]
+    rings = [["ring"], *affine]
+    texts = [argv + ["--format", "text"] for argv in rings]
+    return [*rings, ["verify"], ["homology"], ["poset"], ["oracle"], *presentations, *texts]
 
 
 def run(argv: list[str]) -> str:
