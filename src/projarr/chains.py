@@ -182,8 +182,8 @@ class HomologySummary:
     def classes_of(self, chains: list[IntChain], r: int) -> list[list[int]]:
         """The coordinates of each degree-r cycle of chains, all read off
         one degree of this summary; NotACycle on the first non-cycle."""
-        index, dh = self.complex.index[r], self.degree(r)
-        return [dh._coordinatize([(index[s], c) for s, c in chain.items() if c]) for chain in chains]
+        index, dh = self.complex.index, self.degree(r)
+        return [dh._coordinatize([(index[r][s], c) for s, c in chain.items() if c]) for chain in chains]
 
     def class_of(self, chain: IntChain, r: int) -> list[int]:
         return self.classes_of([chain], r)[0]

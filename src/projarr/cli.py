@@ -122,19 +122,11 @@ def _products_json(products: _Products, out: list[str], newline: str) -> None:
 
 def _emit_text(doc, indent=0):
     pad = "  " * indent
-    if isinstance(doc, _Products):
-        pad += "  "
-        for i, j, result in doc:
-            print(f"{pad}i: {i}\n{pad}j: {j}")
-            if result:
-                print(f"{pad}result:")
-                for t, c in result:
-                    print(f"{pad}    - {t}\n{pad}    - {c}")
-            else:
-                print(f"{pad}result: []")
-    elif isinstance(doc, dict):
+    if isinstance(doc, dict):
         for key, val in doc.items():
-            if isinstance(val, (dict, list, _Products)) and val:
+            if isinstance(val, _Products):
+                val = [{"i": i, "j": j, "result": [list(p) for p in r]} for i, j, r in val]
+            if isinstance(val, (dict, list)) and val:
                 print(f"{pad}{key}:")
                 _emit_text(val, indent + 1)
             else:

@@ -121,6 +121,9 @@ def test_synthetic_torsion():
     gen = summary.degree(0).generators[0]
     assert summary.class_of(cx.chain(gen.vector, 0), 0) == [1]
     assert summary.class_of(cx.chain([2], 0), 0) == [0]  # 2x is a boundary
+    # an empty chain above the top degree is the zero class of H = 0
+    assert summary.class_of({}, cx.top_degree + 1) == []
+    assert summary.classes_of([{}, {}], cx.top_degree + 1) == [[], []]
 
 
 def torsion_sublattice_complex():
