@@ -92,9 +92,13 @@ _MAX_EXPONENT = 4300
 _EXPONENT = re.compile(r"[eE][-+]?(\d+(?:_\d+)*)")
 
 
-def _parse_rational(x) -> Fraction:
+def _parse_rational(x) -> int | Fraction:
+    """The exact value of x; a plain integer string (digits after at most
+    one sign) is read by int, which agrees with Fraction on it."""
     text = str(x)
     try:
+        if (text[1:] if text[:1] in "+-" else text).isdecimal():
+            return int(text)
         exp = _EXPONENT.search(text)
         if exp and int(exp[1]) > _MAX_EXPONENT:
             raise ValueError(f"exponent beyond ±{_MAX_EXPONENT}")

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 
 Row = tuple[int, ...]
 Matrix = tuple[Row, ...]
@@ -27,8 +28,11 @@ class AmbientMismatch(ValueError):
 def _primitive(row) -> list[int]:
     """The row of ints or Fractions scaled to integers with content 1; a
     zero row stays zero."""
-    den = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
+    if all(type(x) is int for x in row):
+        ints = list(row)
+    else:
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
     g = gcd(*ints)
     return [x // g for x in ints] if g > 1 else ints
 
@@ -43,15 +47,6 @@ def rref(m) -> Matrix:
     row is divided by its content.  Only the pivot signs are fixed at the
     end.
     """
-    rows, pivots = _reduce(m)
-    return tuple(
-        tuple(-x for x in row) if row[p] < 0 else tuple(row) for row, p in zip(rows, pivots)
-    )
-
-
-def _reduce(m) -> tuple[list[list[int]], list[int]]:
-    """The reduced rows of m, before `rref` fixes their pivot signs, and
-    the pivot column of each (zero rows come last, without one)."""
     rows = [r for r in map(_primitive, m) if any(r)]
     pivots: list[int] = []
     for col in range(len(rows[0]) if rows else 0):
@@ -73,7 +68,10 @@ def _reduce(m) -> tuple[list[list[int]], list[int]]:
         pivots.append(col)
         if len(pivots) == len(rows):
             break
-    return rows, pivots
+    # zip drops the rows past the last pivot: they reduced to zero
+    return tuple(
+        tuple(-x for x in row) if row[p] < 0 else tuple(row) for row, p in zip(rows, pivots)
+    )
 
 
 def rational_view(m: Matrix) -> tuple[tuple[Fraction, ...], ...]:
@@ -151,7 +149,7 @@ class Subspace:
         """other ⊆ self: stacking other's basis under self's adds no rank."""
         if other.ambient_dim != self.ambient_dim:
             raise AmbientMismatch("ambient dimensions differ")
-        return len(rref(self.basis + other.basis)) == self.dim
+        return _rank(self.basis + other.basis) == self.dim
 
     @cached_property
     def annihilator(self) -> Matrix:
@@ -162,16 +160,33 @@ class Subspace:
 
 def _products(equations: Matrix, basis: Matrix) -> list[list[int]]:
     """M[i][j] = equations[i] · basis[j]: the equations evaluated on a basis."""
-    return [[sum(e * x for e, x in zip(eq, v)) for v in basis] for eq in equations]
+    return [[sum(map(mul, eq, v)) for v in basis] for eq in equations]
 
 
 def _rank(m) -> int:
-    """Rank of an integer matrix; one nonzero row or one column needs no
-    elimination."""
+    """Rank of an integer matrix by Bareiss fraction-free forward
+    elimination: row ← (p·row − b·pivot_row) ÷ previous pivot, a division
+    that is exact and keeps every entry a minor of m.  No gcds, no
+    back-substitution; one nonzero row or one column needs no elimination.
+    """
     rows = [r for r in m if any(r)]
     if len(rows) < 2 or len(rows[0]) < 2:
         return min(len(rows), 1)
-    return len(_reduce(rows)[1])
+    rank, prev = 0, 1
+    for col in range(len(rows[0])):
+        pr = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pr is None:
+            continue
+        rows[rank], rows[pr] = rows[pr], rows[rank]
+        prow = rows[rank]
+        p = prow[col]
+        for r in range(rank + 1, len(rows)):
+            b = rows[r][col]
+            rows[r] = [(p * x - b * y) // prev for x, y in zip(rows[r], prow)]
+        rank, prev = rank + 1, p
+        if rank == len(rows):
+            break
+    return rank
 
 
 def _cut(a: Subspace, m) -> Subspace:

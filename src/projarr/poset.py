@@ -148,28 +148,33 @@ class EtaReport:
 
 def verify_eta(poset: IntersectionPoset, seed: int = 0) -> EtaReport:
     """Check that a generic section induces q ↦ q∩H, an order- and
-    meet-respecting bijection Q_(0,n] → Q^H_[0,n-1] dropping d by one."""
+    meet-respecting bijection Q_(0,n] → Q^H_[0,n-1] dropping d by one.
+
+    The sectioned side is read off the closure of the section alone:
+    each image is looked up there, images are distinct iff their member
+    masks are, and the order is mask containment, as `build_poset`
+    defines it."""
     try:
         h = generic_hyperplane(poset, seed)
         sectioned = hyperplane_section(poset, h)
     except GenericityError as e:
         return EtaReport(False, f"genericity failure: {e}")
-    sposet = build_poset(sectioned)
+    closure = intersection_closure(sectioned)
     upper = [i for i in range(len(poset.elements)) if poset.d[i] >= 1]
     images = {}
     for i in upper:
         img = restrict_to_hyperplane(poset.elements[i], h)
-        if img.dim - 1 != poset.d[i] - 1:
+        if img.dim != poset.d[i]:
             return EtaReport(False, f"dimension not lowered by one at element {i}")
         try:
-            images[i] = sposet.index_of(img)
-        except ValueError:
+            images[i] = closure[img]
+        except KeyError:
             return EtaReport(False, f"image of element {i} missing from sectioned poset")
-    target = {i for i, di in enumerate(sposet.d) if di >= 0}
-    if set(images.values()) != target or len(set(images.values())) != len(images):
+    target = sum(1 for s in closure if s.dim >= 1)
+    if len(set(images.values())) != len(images) or len(images) != target:
         return EtaReport(False, "not a bijection onto Q^H_[0,n-1]")
     for i in upper:
         for j in upper:
-            if poset.leq[i][j] != sposet.leq[images[i]][images[j]]:
+            if poset.leq[i][j] != (images[j] & ~images[i] == 0):
                 return EtaReport(False, f"order not preserved on pair ({i},{j})")
     return EtaReport(True)

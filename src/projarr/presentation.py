@@ -24,7 +24,7 @@ from .chains import (
     complex_from_faces,
     homology,
 )
-from .linalg import rref, snf
+from .linalg import _rank, snf
 from .poset import IntersectionPoset, is_c_arrangement, minimal_dependent_sets
 from .ring import RingElement, RingTable
 
@@ -124,7 +124,7 @@ def graded_ranks(p: Presentation, max_degree: int) -> list[int]:
 
     The x^c relation is folded into the monomial spanning set; the other
     relations contribute all monomial multiples in the degree, quotiented
-    by exact rational row reduction.
+    by their exact rank.
     """
     ranks = []
     for degree in range(max_degree + 1):
@@ -149,8 +149,7 @@ def graded_ranks(p: Presentation, max_degree: int) -> list[int]:
                 for mo, coeff in multiple.items():
                     row[index[mo]] = coeff
                 rows.append(row)
-        quotient_rank = len(rref(rows)) if rows else 0
-        ranks.append(len(monos) - quotient_rank)
+        ranks.append(len(monos) - _rank(rows))
     return ranks
 
 
@@ -431,7 +430,7 @@ def verify_presentation(ctx: PiContext, max_degree: int | None = None) -> Presen
                 if ctx.table.basis[i].torsion_order == 0:
                     row[pos[i]] = v
             rows.append(row)
-        pi_rank = len(rref(rows)) if rows and free_ids else 0
+        pi_rank = _rank(rows)
         rows_report.append((degree, pi_rank, ranks_ri[degree], engine_rank))
         if not (pi_rank == ranks_ri[degree] == engine_rank):
             ok = False

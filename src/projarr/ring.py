@@ -108,9 +108,10 @@ def _ring(poset, summaries, degree_of, order, block) -> RingTable:
     degree_of(summand, r) is the cohomological degree, order the basis
     sort key, and block(a, b) decides the product of summands a and b
     once for all their classes: None when it vanishes, else the target
-    summand and the chain-level product of two representatives.  A block
-    whose target has no cells in the product degree vanishes too.  Every
-    sort key ends in the generator index, so ids of one (summand, r)
+    summand and the chain-level product of two representatives.  A
+    product's cells are cells of its target, so where the target has none
+    in the product degree the chains are empty and read as no classes.
+    Every sort key ends in the generator index, so ids of one (summand, r)
     come out in generator order, and the keys of each product entry
     increase.
     """
@@ -136,7 +137,7 @@ def _ring(poset, summaries, degree_of, order, block) -> RingTable:
         for (b, rb), cols in ids.items():
             r = ra + rb
             hit = block(a, b)
-            if hit is None or summaries[hit[0]].complex.dim(r) == 0:
+            if hit is None:
                 continue
             target, multiply = hit
             chains = [multiply(reps[i], reps[j]) for i in rows for j in cols]

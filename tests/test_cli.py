@@ -174,12 +174,56 @@ def test_huge_exponent_exit_2_before_any_power(capsys, tmp_path, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: malformed rational '{literal}': exponent beyond ±4300\n"
-    assert parsed == ["1", "1"]
+    # the plain integer "1" is read by int, so nothing reached Fraction
+    assert parsed == []
     path.write_text(json.dumps({"ambient_dim": 2, "subspaces": [{"span": [["-47e-2", "1"]]}]}))
     arr = arrangement.parse_arrangement(path.read_text())
-    assert parsed[-2:] == ["-47e-2", "1"]
+    assert parsed == ["-47e-2"]
     assert arr.subspaces == (Subspace.from_span(2, [(Fraction(-47, 100), 1)]),)
     assert arr.subspaces[0].basis == ((47, -100),)
+
+
+@pytest.mark.parametrize("text", ["+7", "-0", "007", "1_000", " 3 ", "\u0663", "-12", "4" * 300])
+def test_integer_strings_parse_to_the_value_fraction_gives(text):
+    # plain integers ("-12", "007") are read by int, the rest by Fraction;
+    # "\u0663" is the Arabic-Indic digit three
+    from projarr.arrangement import _parse_rational
+
+    assert _parse_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("entry, value", [("1e5", Fraction(10**5)), ("3/4", Fraction(3, 4)), (1.5, Fraction(3, 2))])
+def test_non_integer_rationals_parse_as_before(tmp_path, entry, value):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "subspaces": [{"span": [[entry, 1]]}]}))
+    arr = parse_arrangement(path.read_text())
+    assert arr.subspaces == (Subspace.from_span(2, [(value, 1)]),)
+
+
+DIGITS = "1" * 4301
+
+
+@pytest.mark.parametrize(
+    "entry, message",
+    [
+        ("True", "'True': Invalid literal for Fraction: 'True'"),
+        ("--3", "'--3': Invalid literal for Fraction: '--3'"),
+        (True, "True: Invalid literal for Fraction: 'True'"),
+        (
+            DIGITS,
+            f"'{DIGITS}': Exceeds the limit (4300 digits) for integer string conversion: "
+            "value has 4301 digits; use sys.set_int_max_str_digits() to increase the limit",
+        ),
+        ("1e4301", "'1e4301': exponent beyond ±4300"),
+    ],
+    ids=["True", "--3", "true", "4301 digits", "1e4301"],
+)
+def test_malformed_rationals_exit_2_with_the_same_message(capsys, tmp_path, entry, message):
+    path = tmp_path / "point.json"
+    path.write_text(json.dumps({"ambient_dim": 2, "subspaces": [{"span": [[entry, 1]]}]}))
+    assert main(["poset", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: malformed rational {message}\n")
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
 """The subspace layer against an independent reference: sympy's exact
 row reduction and ranks, and brute-force intersection over subfamilies."""
 
+import sys
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
+from math import gcd, prod
+from random import Random
 
 import pytest
 import sympy
@@ -74,18 +76,58 @@ def test_rref_matches_sympy(m):
     assert rational_view(rref(m)) == sympy_rref(m)
 
 
-integer_matrices = st.integers(1, 5).flatmap(
-    lambda cols: st.lists(st.lists(st.integers(-BIG, BIG) | st.integers(-2, 2), min_size=cols, max_size=cols), min_size=1, max_size=5)
-)
+@st.composite
+def integer_matrices(draw):
+    """Up to 8 by 8, tall or wide, entries up to 10⁶ or small; leading
+    zero columns, and zero leading entries on top rows, so that pivots
+    need row swaps."""
+    rows, cols = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    entries = st.integers(-BIG, BIG) | st.integers(-2, 2)
+    m = draw(st.lists(st.lists(entries, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    lead = draw(st.integers(0, cols - 1))  # zero columns in front
+    swaps = draw(st.integers(0, rows - 1))  # top rows zero in the first column left
+    return [[0 if j < lead or (i < swaps and j == lead) else x for j, x in enumerate(row)] for i, row in enumerate(m)]
 
 
-@settings(max_examples=150, deadline=None, derandomize=True)
-@given(integer_matrices)
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(integer_matrices())
 @example([[0, 0], [0, 0]])
 @example([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
 @example([[0, 3], [0, -6], [0, 1]])
+@example([[0, 0, 2], [0, 1, 0], [3, 0, 0], [1, 1, 1], [2, 2, 2]])  # tall, every pivot a swap
+@example([[0, 0, 0, 0], [0, 0, 5, 1], [0, 0, 0, 7]])  # leading zero columns
+@example([[2, 4, 6], [1, 2, 3], [0, 0, BIG], [0, 0, -BIG]])  # a pivot column dropped, then a swap
 def test_rank_matches_sympy(m):
     assert _rank(m) == sympy_rank(m)
+
+
+def test_rank_divides_back_to_minors():
+    # Bareiss keeps every intermediate entry a minor of m, so none exceeds
+    # Hadamard's bound: the product of the norms of the minor's rows, at
+    # most ∏ ‖row‖ over all rows of m, each norm being ≥ 1.  Without the
+    # exact division entries would double in bits at each of the 11 steps
+    rng = Random(1968)
+    m = [[rng.randint(-(2**20), 2**20) for _ in range(12)] for _ in range(12)]
+    m[3] = [x + y for x, y in zip(m[0], m[1])]  # rank 11, after a late pivot
+    bound = prod(sum(x * x for x in row) for row in m)  # the bound squared
+    largest = 0
+
+    def watch(frame, event, arg):
+        nonlocal largest
+        if frame.f_code is not _rank.__code__:
+            return None
+        rows = frame.f_locals.get("rows") or []
+        largest = max([largest, *(x * x for row in rows for x in row)])
+        return watch
+
+    previous = sys.gettrace()
+    sys.settrace(watch)
+    try:
+        rank = _rank(m)
+    finally:
+        sys.settrace(previous)
+    assert rank == sympy_rank(m) == 11
+    assert 0 < largest <= bound
 
 
 negative_rationals = st.builds(Fraction, st.integers(-BIG, -1), st.integers(1, BIG))

@@ -25,8 +25,10 @@ from projarr import (
     subspace_intersection,
     verify_eta,
 )
+from projarr import poset as poset_module
+from projarr.arrangement import GenericityError, generic_hyperplane, hyperplane_section
 from projarr.linalg import rational_view
-from projarr.poset import set_defect
+from projarr.poset import EtaReport, set_defect
 
 FIXTURE_DIR = pathlib.Path(__file__).parent.parent / "fixtures"
 
@@ -238,3 +240,91 @@ def test_index_of_rejects_a_subspace_outside_the_poset():
         p.index_of(skew_lines(3).subspaces[2])
     with pytest.raises(ValueError):
         p.index_of(Subspace.full(3))
+
+
+def _reference_verify_eta(poset, seed=0):
+    """The section check on a full `build_poset` of the section, as it was
+    before it read the section's closure masks: the reference the mask
+    check must reproduce, detail strings included.  It restricts through
+    `projarr.poset.restrict_to_hyperplane`, so a planted fault reaches
+    both checks."""
+    try:
+        h = generic_hyperplane(poset, seed)
+        sectioned = hyperplane_section(poset, h)
+    except GenericityError as e:
+        return EtaReport(False, f"genericity failure: {e}")
+    sposet = build_poset(sectioned)
+    upper = [i for i in range(len(poset.elements)) if poset.d[i] >= 1]
+    images = {}
+    for i in upper:
+        img = poset_module.restrict_to_hyperplane(poset.elements[i], h)
+        if img.dim - 1 != poset.d[i] - 1:
+            return EtaReport(False, f"dimension not lowered by one at element {i}")
+        try:
+            images[i] = sposet.index_of(img)
+        except ValueError:
+            return EtaReport(False, f"image of element {i} missing from sectioned poset")
+    target = {i for i, di in enumerate(sposet.d) if di >= 0}
+    if set(images.values()) != target or len(set(images.values())) != len(images):
+        return EtaReport(False, "not a bijection onto Q^H_[0,n-1]")
+    for i in upper:
+        for j in upper:
+            if poset.leq[i][j] != sposet.leq[images[i]][images[j]]:
+                return EtaReport(False, f"order not preserved on pair ({i},{j})")
+    return EtaReport(True)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(small_arrangements())
+def test_section_check_matches_the_build_poset_reference(arr):
+    p = build_poset(arr)
+    for seed in range(3):
+        assert verify_eta(p, seed) == _reference_verify_eta(p, seed), seed
+
+
+FAULT_CASES = [("boolean(3)", boolean(3)), ("crossed_pairs", crossed_pairs()), ("skew_lines(3)", skew_lines(3))]
+
+
+def _planted(monkeypatch, arr, remap):
+    """Both checks' reports on arr with restrict_to_hyperplane patched to
+    restrict remap(s) in place of each element s."""
+    restrict = poset_module.restrict_to_hyperplane
+    monkeypatch.setattr(poset_module, "restrict_to_hyperplane", lambda s, h: restrict(remap(s), h))
+    p = build_poset(arr)
+    report = verify_eta(p)
+    assert report == _reference_verify_eta(p)
+    return p, report
+
+
+@pytest.mark.parametrize("arr", [arr for _, arr in FAULT_CASES], ids=[name for name, _ in FAULT_CASES])
+def test_section_check_reports_a_wrong_image(monkeypatch, arr):
+    # the first member's image replaced by the section of a subspace of
+    # the same dimension in general position, which is no element
+    member = arr.subspaces[0]
+    wrong = Subspace.from_span(arr.ambient_dim, [[(k + 2) ** e for e in range(arr.ambient_dim)] for k in range(member.dim)])
+    assert wrong.dim == member.dim
+    p, report = _planted(monkeypatch, arr, lambda s: wrong if s == member else s)
+    assert report == EtaReport(False, f"image of element {p.index_of(member)} missing from sectioned poset")
+
+
+@pytest.mark.parametrize("arr", [arr for _, arr in FAULT_CASES], ids=[name for name, _ in FAULT_CASES])
+def test_section_check_reports_two_elements_sent_to_one_image(monkeypatch, arr):
+    # the second member restricted as the first, of the same dimension
+    first, second = arr.subspaces[:2]
+    assert first.dim == second.dim
+    p, report = _planted(monkeypatch, arr, lambda s: first if s == second else s)
+    assert report == EtaReport(False, "not a bijection onto Q^H_[0,n-1]")
+
+
+def test_section_check_reports_a_broken_order(monkeypatch):
+    # in CP³ the lines A0∩A1 and A0∩A2 of boolean(3) swap images: a
+    # bijection, but A0∩A1 ⊆ A1 while its image lies in no section of A1
+    arr = boolean(3)
+    a, b = subspace_intersection(*arr.subspaces[:2]), subspace_intersection(arr.subspaces[0], arr.subspaces[2])
+    p, report = _planted(monkeypatch, arr, lambda s: b if s == a else a if s == b else s)
+    assert report.detail.startswith("order not preserved on pair (") and not report.passed

@@ -24,7 +24,7 @@ from projarr import (
 )
 from projarr.linalg import Subspace, rref
 from projarr.oracles import compare
-from projarr.ring import RingTable
+from projarr.ring import RingTable, _ring
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
@@ -197,6 +197,31 @@ def test_skew_lines_products():
     assert set(prod) == {five} and abs(prod[five]) == 1
     # odd class squares to zero
     assert table.products[(three, three)] == {}
+
+
+def test_a_block_whose_target_has_no_cells_in_the_product_degree_is_zero():
+    # a product's cells are cells of its target, so when the target has
+    # none in degree r + s the chains are empty; _ring reads them as no
+    # classes, also above the target's top degree.  Every block here is
+    # sent to level n, whose complex is V alone (top degree 0).
+    dec = decompose(build_poset(skew_lines(2)))
+    n, summaries = dec.n, dict(enumerate(dec.summaries))
+    calls = 0
+
+    def empty_product(c, d):
+        nonlocal calls
+        calls += 1
+        return {}
+
+    table = _ring(
+        dec.poset, summaries, lambda k, r: 2 * n - 2 * k - r,
+        lambda b: (b.degree, -b.summand, b.r, b.index), lambda k, l: (n, empty_product),
+    )
+    m = len(table.basis)
+    assert summaries[n].complex.top_degree == 0
+    assert any(b.r > 0 for b in table.basis)  # so some product degree exceeds 0
+    assert calls == m * m
+    assert all(table.products[(i, j)] == {} for i in range(m) for j in range(m))
 
 
 def test_products_determinism():

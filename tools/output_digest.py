@@ -5,14 +5,16 @@
 Run from anywhere; projarr is imported from the `src/` next to this
 script.  The inputs are every file in `fixtures/`, `boolean(4)`,
 `generic_hyperplanes(3,6)` and `generic_hyperplanes(4,5)` from
-`tests/arrangements.py`, and the benchmark inputs of seeds 3 and 11
-(`perfbench/generators.py`).  On each input it runs `ring`,
-`ring --affine i` for every hyperplane member i, `verify`, `homology`,
-`poset`, `oracle`, `presentation --c 1|2|3`, and then `ring` and each
-`ring --affine i` again with `--format text`, in-process through
-`projarr.cli.main`.  The digest covers each run's input name, argv,
-stdout, stderr and exit code (or the exception it raised), so two trees
-with the same digest give byte-identical output on all of them.
+`tests/arrangements.py`, the benchmark inputs of seeds 3 and 11
+(`perfbench/generators.py`), and one point of CP¹ per edge case of the
+number parser (`NUMBERS`; some are refused).  On each input it runs
+`ring`, `ring --affine i` for every hyperplane member i, `verify`,
+`verify --seed 5`, `homology`, `poset`, `oracle`,
+`presentation --c 1|2|3`, and then `ring` and each `ring --affine i`
+again with `--format text`, in-process through `projarr.cli.main`.
+The digest covers each run's input name, argv, stdout, stderr and exit
+code (or the exception it raised), so two trees with the same digest
+give byte-identical output on all of them.
 """
 
 from __future__ import annotations
@@ -30,10 +32,13 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import generators  # noqa: E402
 from arrangements import boolean, generic_hyperplanes  # noqa: E402
-from projarr import Arrangement, parse_arrangement  # noqa: E402
+from projarr import Arrangement, InputError, parse_arrangement  # noqa: E402
 from projarr.cli import main  # noqa: E402
 
 SEEDS = (3, 11)
+# first coordinates of a point of CP¹: signs, leading zeros, underscores,
+# spaces, a non-ASCII digit, non-integers, and three refused entries
+NUMBERS = ["+7", "-0", "007", "1_000", " 3 ", "\u0663", "1e5", "3/4", 1.5, "True", "1" * 4301, "1e4301"]
 
 
 def to_json(arr: Arrangement) -> str:
@@ -55,20 +60,22 @@ def inputs() -> dict[str, str]:
         for workload in generators.WORKLOADS:
             for job in generators.jobs_for(workload, seed):
                 out[f"seed{seed}/{job.name}"] = generators.input_bytes(job).decode()
+    for x in NUMBERS:
+        out[f"number {json.dumps(x)[:16]}"] = json.dumps({"ambient_dim": 2, "subspaces": [{"span": [[x, 1]]}]})
     return out
 
 
 def commands(text: str) -> list[list[str]]:
-    arr = parse_arrangement(text)
-    affine = [
-        ["ring", "--affine", str(i)]
-        for i, s in enumerate(arr.subspaces)
-        if s.dim == arr.ambient_dim - 1
-    ]
+    try:
+        arr = parse_arrangement(text)
+        hyperplanes = [i for i, s in enumerate(arr.subspaces) if s.dim == arr.ambient_dim - 1]
+    except InputError:  # every command refuses it
+        hyperplanes = []
     presentations = [["presentation", "--c", str(c)] for c in (1, 2, 3)]
-    rings = [["ring"], *affine]
+    rings = [["ring"], *(["ring", "--affine", str(i)] for i in hyperplanes)]
     texts = [argv + ["--format", "text"] for argv in rings]
-    return [*rings, ["verify"], ["homology"], ["poset"], ["oracle"], *presentations, *texts]
+    verifies = [["verify"], ["verify", "--seed", "5"]]
+    return [*rings, *verifies, ["homology"], ["poset"], ["oracle"], *presentations, *texts]
 
 
 def run(argv: list[str]) -> str:
