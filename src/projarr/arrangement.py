@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
-from .linalg import AmbientMismatch, Subspace, _cut, _products, _rank
+from .linalg import AmbientMismatch, Subspace, _cut, _cut_rows, _products, _rank, rref
 
 if TYPE_CHECKING:
     from .poset import IntersectionPoset
@@ -222,25 +222,22 @@ class GenericityError(ValueError):
     """The supplied hyperplane is not generic for the arrangement."""
 
 
-def restrict_to_hyperplane(s: Subspace, h: Hyperplane) -> Subspace:
-    """s ∩ ker(h), re-coordinatized to the (ambient_dim - 1)-frame of ker(h).
-
-    With c_i = h(b_i) on s's basis and p the first index with c_p ≠ 0,
-    s ∩ ker(h) is spanned by c_p·b_i − c_i·b_p for i ≠ p (it is s when
-    every c_i is 0).  With j the first nonzero column of h, the frame is
-    e_k − (h_k/h_j)·e_j for k ≠ j in order, so the frame coordinates of a
-    vector of ker(h) are its entries with column j dropped.
-    """
-    c = _products((h.functional,), s.basis)[0]
-    p = next((i for i, x in enumerate(c) if x), None)
-    cut = list(s.basis)
-    if p is not None:
-        bp, cp = cut.pop(p), c.pop(p)
-        cut = [[cp * x - ci * y for x, y in zip(b, bp)] for b, ci in zip(cut, c)]
+def _section_rows(s: Subspace, h: Hyperplane) -> list:
+    """Independent rows spanning s ∩ ker(h), in the (ambient_dim - 1)-frame
+    of ker(h): s's basis cut by h (see `linalg._cut_rows`), then with
+    j the first nonzero column of h, the frame is e_k − (h_k/h_j)·e_j for
+    k ≠ j in order, so the frame coordinates of a vector of ker(h) are its
+    entries with column j dropped."""
+    cut = _cut_rows(s.basis, _products((h.functional,), s.basis))
     if any(_products((h.functional,), cut)[0]):
         raise RuntimeError("vector not in hyperplane frame")
     j = next(k for k, x in enumerate(h.functional) if x != 0)
-    return Subspace.from_span(h.ambient_dim - 1, [v[:j] + v[j + 1:] for v in cut])
+    return [v[:j] + v[j + 1:] for v in cut]
+
+
+def restrict_to_hyperplane(s: Subspace, h: Hyperplane) -> Subspace:
+    """s ∩ ker(h), re-coordinatized to the (ambient_dim - 1)-frame of ker(h)."""
+    return Subspace(h.ambient_dim - 1, rref(_section_rows(s, h)))
 
 
 def hyperplane_section(poset: IntersectionPoset, h: Hyperplane) -> Arrangement:

@@ -9,7 +9,7 @@ representative cycles and an exact coordinatizer per degree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cache
 from itertools import combinations
 
@@ -76,27 +76,23 @@ def _sum_columns(columns: list[dict], entries) -> dict:
     return {k: c for k, c in y.items() if c}
 
 
-def boundary_matrix_from(faces, basis_prev, basis_cur) -> list[Column]:
-    """The columns of ∂ on basis_cur from a simplex -> [(face, coeff)]
-    rule, with cancelled entries dropped."""
-    idx = {s: i for i, s in enumerate(basis_prev)}
-    cols = []
-    for s in basis_cur:
-        col: Column = {}
-        for face, coeff in faces(s):
-            i = idx[face]
-            col[i] = col.get(i, 0) + coeff
-        if 0 in col.values():
-            col = {i: x for i, x in col.items() if x}
-        cols.append(col)
-    return cols
-
-
 def complex_from_faces(bases: list[list[tuple]], faces) -> ChainComplex:
-    """The complex on bases whose boundary follows the face rule."""
-    boundaries = [[{} for _ in bases[0]]] + [
-        boundary_matrix_from(faces, bases[r - 1], bases[r]) for r in range(1, len(bases))
-    ]
+    """The complex on bases whose boundary follows the face rule, a
+    simplex -> [(face, coeff)] function: the columns of each ∂_r, with
+    cancelled entries dropped."""
+    boundaries = [[{} for _ in bases[0]]]
+    for prev, cur in zip(bases, bases[1:]):
+        idx = {s: i for i, s in enumerate(prev)}
+        cols = []
+        for s in cur:
+            col: Column = {}
+            for face, coeff in faces(s):
+                i = idx[face]
+                col[i] = col.get(i, 0) + coeff
+            if 0 in col.values():
+                col = {i: x for i, x in col.items() if x}
+            cols.append(col)
+        boundaries.append(cols)
     return ChainComplex(bases, boundaries)
 
 
@@ -124,17 +120,19 @@ class DegreeHomology:
     """H_r presented as Z^free ⊕ ⊕ Z/t with an exact coordinatizer."""
 
     generators: list[Generator]
-    # coordinatizer internals
+    # coordinatizer internals where H_r ≠ 0
     _vinv: list[Column]  # columns of the inverse SNF V of the boundary out of C_r
     _rank_out: int  # rank of that boundary; kernel coords start here
     _u2: list[Column]  # columns of the SNF U of the image presentation matrix
     _orders: list[int]  # per kernel coordinate, 0 free / 1 killed / t torsion
     _signs: list[int]
+    # where H_r = 0: the columns of the boundary out of C_r
+    _boundary: list[Column] = field(default_factory=list)
 
     @classmethod
-    def empty(cls, vinv: list[Column] | None = None, rank_out: int = 0) -> "DegreeHomology":
-        """H_r = 0; vinv and rank_out still let class_of reject non-cycles."""
-        return cls([], vinv or [], rank_out, [], [], [])
+    def empty(cls, boundary: list[Column] | None = None) -> "DegreeHomology":
+        """H_r = 0; the boundary ∂_r still lets class_of reject non-cycles."""
+        return cls([], [], 0, [], [], [], boundary or [])
 
     @property
     def free_rank(self) -> int:
@@ -147,7 +145,12 @@ class DegreeHomology:
     def _coordinatize(self, entries) -> list[int]:
         """Coordinates of the cycle with (index, coefficient) entries: the
         V⁻¹ columns at those indices are summed, then U₂ is applied over
-        the nonzero kernel coordinates only."""
+        the nonzero kernel coordinates only.  Where H_r = 0 a cycle is
+        only checked: ∂_r z is summed from the columns at its indices."""
+        if not self.generators:
+            if _sum_columns(self._boundary, entries):
+                raise NotACycle("chain is not a cycle")
+            return []
         w = _kernel_coords(self._vinv, self._rank_out, entries)
         if w is None:
             raise NotACycle("chain is not a cycle")
@@ -234,25 +237,37 @@ def _dense(columns: list[Column], nrows: int) -> list[list[int]]:
 
 
 def homology(cx: ChainComplex) -> HomologySummary:
+    """Generators and a coordinatizer in every degree.  The invariant
+    factors of every ∂_r come first, from Smith normal forms with no
+    transforms: H_r = 0 exactly when dim C_r = rank ∂_r + rank ∂_{r+1}
+    and no factor of ∂_{r+1} exceeds 1, since C_r / ker ∂_r is free and
+    so the torsion of H_r is that of coker ∂_{r+1}.  Only where H_r ≠ 0
+    are V, V⁻¹ of ∂_r and U, U⁻¹ of the image presentation computed.
+    ∂_r∘∂_{r+1} = 0 is checked in every degree."""
+    top = cx.top_degree
+    factors: dict[int, list[int]] = {}
+    for r in range(1, top + 1):
+        if cx.dim(r) and cx.dim(r - 1):
+            diagonal = snf(_dense(cx.boundaries[r], cx.dim(r - 1)), left=False, right=False).diagonal()
+            factors[r] = [x for x in diagonal if x]
     degrees = []
-    for r in range(cx.top_degree + 1):
+    for r in range(top + 1):
         nr = cx.dim(r)
-        if nr == 0:
-            degrees.append(DegreeHomology.empty())
+        rank_out, image = len(factors.get(r, ())), factors.get(r + 1, [])
+        if nr == rank_out + len(image) and all(x == 1 for x in image):
+            for col in cx.boundaries[r + 1] if r < top else ():
+                if _sum_columns(cx.boundaries[r], col.items()):
+                    raise RuntimeError("image column outside the cycle lattice")
+            degrees.append(DegreeHomology.empty(cx.boundaries[r]))
             continue
         if cx.dim(r - 1) == 0:
             # no target: everything is a cycle, V = V⁻¹ = I
-            rank_out = 0
             vinv = kernel = _identity_columns(nr)
         else:
             res = snf(_dense(cx.boundaries[r], cx.dim(r - 1)), left=False)
-            rank_out = sum(1 for x in res.diagonal() if x != 0)
             vinv = _transpose(res.vinv_rows)
             kernel = res.v_cols[rank_out:]
         s = nr - rank_out
-        if s == 0:
-            degrees.append(DegreeHomology.empty(vinv, rank_out))
-            continue
         # present the image of the next boundary in kernel coordinates
         if cx.dim(r + 1):
             mmat = _image_in_kernel_coords(vinv, rank_out, cx.boundaries[r + 1])
@@ -365,44 +380,67 @@ def _shuffle_paths(p: int, q: int) -> tuple:
     return tuple(paths)
 
 
-def _meet_shuffle(poset: IntersectionPoset, c: IntChain, d: IntChain) -> IntChain:
-    """The Eilenberg-Zilber shuffle product of c and d pushed through the
-    vertex-wise meet (u, v) -> u∧v, degenerate images dropped.
+def _meet_terms(meet: list[list[int]], sigma: tuple, tau: tuple) -> tuple:
+    """The (image, sign) terms of the shuffle product of the simplices σ
+    and τ pushed through the vertex-wise meet, degenerate images dropped.
 
     Along a shuffle path both vertex indices only grow, so the meets grow
     weakly, and a degenerate image repeats two adjacent vertices: a path
-    is dropped at its first repeat.  Precondition: every simplex of c and
-    d ends at V, so every image ends at V∧V = V and starts at σ_0∧τ_0.
+    is dropped at its first repeat."""
+    rows = [meet[u] for u in sigma]
+    grid = [row[v] for row in rows for v in tau]
+    terms = []
+    for sign, path in _shuffle_paths(len(sigma) - 1, len(tau) - 1):
+        last = grid[0]
+        image = [last]
+        for x in path:
+            v = grid[x]
+            if v == last:
+                break
+            image.append(v)
+            last = v
+        else:
+            terms.append((tuple(image), sign))
+    return tuple(terms)
+
+
+def _meet_shuffle(
+    poset: IntersectionPoset, c: IntChain, d: IntChain, memo: dict | None = None
+) -> IntChain:
+    """The Eilenberg-Zilber shuffle product of c and d pushed through the
+    vertex-wise meet (u, v) -> u∧v, degenerate images dropped.
+
+    The terms of each simplex pair come from memo, a (σ, τ) -> terms
+    dict that a caller may share across calls on one poset, and are
+    computed once per pair.  Precondition: every simplex of c and d ends
+    at V, so every image ends at V∧V = V and starts at σ_0∧τ_0.
     Relative-complex chains and the 1-chains [A_i, V] end at V, and
     local-complex chains also start at their summand, so no caller needs
     to project the result."""
     meet = poset.meet
+    memo = {} if memo is None else memo
     out: IntChain = {}
     for sigma, a in c.items():
-        rows = [meet[u] for u in sigma]
         for tau, b in d.items():
-            grid = [row[v] for row in rows for v in tau]
-            for sign, path in _shuffle_paths(len(sigma) - 1, len(tau) - 1):
-                last = grid[0]
-                image = [last]
-                for x in path:
-                    v = grid[x]
-                    if v == last:
-                        break
-                    image.append(v)
-                    last = v
-                else:
-                    key = tuple(image)
-                    out[key] = out.get(key, 0) + sign * a * b
+            terms = memo.get((sigma, tau))
+            if terms is None:
+                terms = memo[sigma, tau] = _meet_terms(meet, sigma, tau)
+            ab = a * b
+            for image, sign in terms:
+                out[image] = out.get(image, 0) + sign * ab
     return {s: x for s, x in out.items() if x}
 
 
-def _meet_at_level(poset: IntersectionPoset, floor: int, c: IntChain, d: IntChain) -> IntChain:
+def _meet_at_level(
+    poset: IntersectionPoset, floor: int, c: IntChain, d: IntChain, memo: dict | None = None
+) -> IntChain:
     """The meet product of relative chains, checked against the
-    semimodular bound: every vertex of the image has d >= floor."""
-    result = _meet_shuffle(poset, c, d)
+    semimodular bound: every vertex of the image has d >= floor.  The
+    meets grow weakly along a shuffle path, so the first vertex is the
+    lowest and the only one checked."""
+    result = _meet_shuffle(poset, c, d, memo)
     for s in result:
-        if min(poset.d[v] for v in s) < floor:
+        if poset.d[s[0]] < floor:
             raise RuntimeError(f"semimodular bound violated: {s} has a vertex below level {floor}")
     return result
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from json.encoder import encode_basestring_ascii
+from threading import Lock
 
 from .arrangement import InputError, parse_arrangement
 from .linalg import rational_view
@@ -308,7 +310,14 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built on the first `main` call and kept for the
+    process.  Its usage line is formatted once here: left unset,
+    `parse_intermixed_args` formats it on every call to quote it in
+    errors and help, so the usage line keeps the terminal width of the
+    first call.  That call swaps the positionals' nargs while it parses,
+    so `main` parses under `_PARSING`, one thread at a time."""
     parser = argparse.ArgumentParser(
         prog="projarr",
         description="Integral cohomology rings of complex projective subspace "
@@ -323,11 +332,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--max-degree", type=int, default=None)
     parser.add_argument("--format", choices=["json", "text"], default="json")
+    parser.usage = parser.format_usage().removeprefix("usage: ")
     return parser
 
 
+_PARSING = Lock()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_intermixed_args(argv)
+    with _PARSING:
+        args = _parser().parse_intermixed_args(argv)
     try:
         arr = parse_arrangement(_read_input(args.input))
     except (InputError, OSError) as e:

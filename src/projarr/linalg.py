@@ -100,11 +100,6 @@ def _kernel_of_rref(red: Matrix, ncols: int) -> Matrix:
     return tuple(basis)
 
 
-def kernel(m, ncols: int) -> Matrix:
-    """Basis (as integer rows) of the right null space of m acting on Q^ncols."""
-    return _kernel_of_rref(rref(m), ncols)
-
-
 def _checked(ambient_dim: int, rows, what: str) -> list:
     """The rows as a list, after checking that every one has ambient_dim entries."""
     rows = list(rows)
@@ -133,8 +128,10 @@ class Subspace:
 
     @staticmethod
     def from_equations(ambient_dim: int, rows) -> "Subspace":
-        m = _checked(ambient_dim, rows, "equation")
-        return Subspace(ambient_dim, rref(kernel(m, ambient_dim)))
+        """The common zeros of the rows: the full space's basis cut by
+        them, whose values on the unit vectors are their entries."""
+        m = [_primitive(row) for row in _checked(ambient_dim, rows, "equation")]
+        return Subspace(ambient_dim, rref(_cut_rows(Subspace.full(ambient_dim).basis, m)))
 
     @staticmethod
     def full(ambient_dim: int) -> "Subspace":
@@ -189,13 +186,42 @@ def _rank(m) -> int:
     return rank
 
 
+def _cut_rows(basis, values) -> list:
+    """Independent rows spanning the vectors of the span of the
+    independent rows basis on which some equations vanish, given their
+    integer values on the basis: values[k][i] is equation k on basis[i].
+
+    Each equation is one pairwise step in the basis: with c its values
+    and c_p the first nonzero one, b_i becomes c_p·b_i − c_i·b_p for
+    i ≠ p (b_i itself where c_i = 0) and b_p goes, and the later
+    equations' values take the same step.  An equation vanishing on the
+    basis leaves it as it is.  Each changed row is divided, with its
+    values, by their gcd.  It lies on a line (the span of the original
+    b_i and pivot rows, cut by the equations so far), so it is then that
+    line's primitive vector, whose entries are no larger than the minors
+    Bareiss elimination would keep: bounded, where the bare step doubles
+    their bits with every equation."""
+    n = len(values)
+    rows = [[v[i] for v in values] + list(b) for i, b in enumerate(basis)]
+    for k in range(n):
+        p = next((i for i, r in enumerate(rows) if r[k]), None)
+        if p is None:
+            continue
+        prow = rows.pop(p)
+        cp = prow[k]
+        for i, r in enumerate(rows):
+            c = r[k]
+            if c:
+                new = [cp * x - c * y for x, y in zip(r, prow)]
+                g = gcd(*new)
+                rows[i] = [x // g for x in new] if g > 1 else new
+    return [r[n:] for r in rows]
+
+
 def _cut(a: Subspace, m) -> Subspace:
-    """The vectors of a whose coefficients in a's basis M sends to zero:
-    the kernel of M, in dim a unknowns, combined from a's basis and
-    reduced."""
-    terms = [[(c, v) for c, v in zip(coeffs, a.basis) if c] for coeffs in kernel(m, a.dim)]
-    cut = [[sum(c * v[k] for c, v in row) for k in range(a.ambient_dim)] for row in terms]
-    return Subspace(a.ambient_dim, rref(cut))
+    """The vectors of a on which the equations with values M on a's
+    basis vanish: a's basis cut by M's rows, and reduced."""
+    return Subspace(a.ambient_dim, rref(_cut_rows(a.basis, m)))
 
 
 def subspace_intersection(a: Subspace, b: Subspace) -> Subspace:

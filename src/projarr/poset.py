@@ -16,12 +16,12 @@ from math import lcm
 from .arrangement import (
     Arrangement,
     GenericityError,
+    _section_rows,
     generic_hyperplane,
     hyperplane_section,
     intersection_closure,
-    restrict_to_hyperplane,
 )
-from .linalg import Subspace
+from .linalg import Subspace, _products
 
 
 @dataclass
@@ -150,9 +150,14 @@ def verify_eta(poset: IntersectionPoset, seed: int = 0) -> EtaReport:
     """Check that a generic section induces q ↦ q∩H, an order- and
     meet-respecting bijection Q_(0,n] → Q^H_[0,n-1] dropping d by one.
 
-    The sectioned side is read off the closure of the section alone:
-    each image is looked up there, images are distinct iff their member
-    masks are, and the order is mask containment, as `build_poset`
+    The sectioned side is read off the closure of the section alone, and
+    no image is put in canonical form.  An image's rows come from
+    cutting the element's basis by H, independent rows, so its dimension
+    is their number, and its mask is the set of sectioned members whose equations vanish on
+    those rows.  Every closure element is the intersection of the
+    members containing it, so the image is the closure element with its
+    mask exactly when their dimensions agree.  Images are distinct iff
+    their masks are, and the order is mask containment, as `build_poset`
     defines it."""
     try:
         h = generic_hyperplane(poset, seed)
@@ -160,16 +165,19 @@ def verify_eta(poset: IntersectionPoset, seed: int = 0) -> EtaReport:
     except GenericityError as e:
         return EtaReport(False, f"genericity failure: {e}")
     closure = intersection_closure(sectioned)
+    dim_of_mask = {mask: s.dim for s, mask in closure.items()}
+    equations = [s.annihilator for s in sectioned.subspaces]
     upper = [i for i in range(len(poset.elements)) if poset.d[i] >= 1]
     images = {}
     for i in upper:
-        img = restrict_to_hyperplane(poset.elements[i], h)
-        if img.dim != poset.d[i]:
+        rows = _section_rows(poset.elements[i], h)
+        dim = len(rows)
+        if dim != poset.d[i]:
             return EtaReport(False, f"dimension not lowered by one at element {i}")
-        try:
-            images[i] = closure[img]
-        except KeyError:
+        mask = sum(1 << a for a, eqs in enumerate(equations) if not any(map(any, _products(eqs, rows))))
+        if dim_of_mask.get(mask) != dim:
             return EtaReport(False, f"image of element {i} missing from sectioned poset")
+        images[i] = mask
     target = sum(1 for s in closure if s.dim >= 1)
     if len(set(images.values())) != len(images) or len(images) != target:
         return EtaReport(False, "not a bijection onto Q^H_[0,n-1]")

@@ -151,10 +151,11 @@ def _ring(poset, summaries, degree_of, order, block) -> RingTable:
 
 def ring_table(dec: Decomposition) -> RingTable:
     poset, n = dec.poset, dec.n
+    memo: dict = {}  # one per table: each simplex pair is shuffled once
 
     def block(k, l):
         m = k + l - n
-        return None if m < 0 else (m, partial(_meet_at_level, poset, m))
+        return None if m < 0 else (m, partial(_meet_at_level, poset, m, memo=memo))
 
     return _ring(
         poset, dict(enumerate(dec.summaries)), lambda k, r: 2 * n - 2 * k - r,
@@ -233,12 +234,13 @@ def affine_decompose(poset: IntersectionPoset, infinity_index: int) -> RingTable
         u: homology(build_local_complex(poset, u))
         for u in range(len(poset.elements)) if not poset.leq[u][a0]
     }
+    memo: dict = {}  # one per table: each simplex pair is shuffled once
 
     def block(u, v):
         w = poset.meet[u][v]
         if w not in summaries or poset.d[w] != poset.d[u] + poset.d[v] - n:
             return None
-        return w, partial(_meet_shuffle, poset)
+        return w, partial(_meet_shuffle, poset, memo=memo)
 
     return _ring(
         poset, summaries, lambda u, m: 2 * n - 2 * poset.d[u] - m,

@@ -16,8 +16,10 @@ from arrangements import (
     skew_lines,
 )
 from projarr.arrangement import parse_arrangement
+from projarr import chains as chains_module
 from projarr.chains import (
     ChainComplex,
+    Generator,
     NotACycle,
     add_chains,
     build_local_complex,
@@ -26,6 +28,7 @@ from projarr.chains import (
     homology,
     meet_product,
 )
+from projarr.linalg import snf
 from projarr.poset import build_poset
 from projarr.presentation import atomic_complex
 from projarr.ring import Decomposition, decompose, ring_table
@@ -253,6 +256,176 @@ def test_class_of_recovers_coefficients_of_generators_plus_boundary():
                         summary.class_of(add_chains(z, {rng.choice(cells): 1}), r)
                     rejected += 1
     assert checked > 1000 and rejected > 100
+
+
+def _reference_homology(cx):
+    """The homology the skipping one must reproduce, as it was before it
+    took invariant factors first: V, V⁻¹ of every boundary and U, U⁻¹ of
+    every image presentation, in every degree.  Per degree, the
+    generators and a class reader (a chain -> coordinates function that
+    raises NotACycle)."""
+
+    def dense(columns, nrows):
+        rows = [[0] * len(columns) for _ in range(nrows)]
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                rows[i][j] = x
+        return rows
+
+    def transpose(rows):
+        cols = [{} for _ in rows]
+        for k, row in enumerate(rows):
+            for j, c in row.items():
+                cols[j][k] = c
+        return cols
+
+    def kernel_coords(vinv, rank_out, entries):
+        y = [0] * len(vinv)
+        for j, x in entries:
+            for k, c in vinv[j].items():
+                y[k] += x * c
+        return None if any(y[:rank_out]) else y[rank_out:]
+
+    def reader(r, vinv, rank_out, u2, orders, signs):
+        def class_of(chain):
+            w = kernel_coords(vinv, rank_out, [(cx.index[r][s], c) for s, c in chain.items() if c])
+            if w is None:
+                raise NotACycle("chain is not a cycle")
+            wp = [0] * len(u2)
+            for k, wk in enumerate(w):
+                if wk:
+                    for i, c in u2[k].items():
+                        wp[i] += c * wk
+            coords, pos = [], 0
+            for i, order in enumerate(orders):
+                if order == 1:
+                    continue
+                val = signs[pos] * wp[i]
+                coords.append(val % order if order > 1 else val)
+                pos += 1
+            return coords
+
+        return class_of
+
+    degrees = []
+    for r in range(cx.top_degree + 1):
+        nr = cx.dim(r)
+        if nr == 0:
+            degrees.append(([], reader(r, [], 0, [], [], [])))
+            continue
+        if cx.dim(r - 1) == 0:
+            rank_out = 0
+            vinv = kernel = [{j: 1} for j in range(nr)]
+        else:
+            res = snf(dense(cx.boundaries[r], cx.dim(r - 1)), left=False)
+            rank_out = sum(1 for x in res.diagonal() if x != 0)
+            vinv = transpose(res.vinv_rows)
+            kernel = res.v_cols[rank_out:]
+        s = nr - rank_out
+        if s == 0:
+            degrees.append(([], reader(r, vinv, rank_out, [], [], [])))
+            continue
+        if cx.dim(r + 1):
+            out = []
+            for col in cx.boundaries[r + 1]:
+                w = kernel_coords(vinv, rank_out, col.items())
+                if w is None:
+                    raise RuntimeError("image column outside the cycle lattice")
+                out.append(w)
+            res2 = snf([list(row) for row in zip(*out)], right=False)
+            u2, u2inv, diag2 = transpose(res2.u_rows), res2.uinv_cols, res2.diagonal()
+        else:
+            u2 = u2inv = [{j: 1} for j in range(s)]
+            diag2 = []
+        orders = [diag2[i] if i < len(diag2) else 0 for i in range(s)]
+        gens, signs = [], []
+        for i, order in enumerate(orders):
+            if order == 1:
+                continue
+            col = [0] * nr
+            for k, x in u2inv[i].items():
+                for row, c in kernel[k].items():
+                    col[row] += c * x
+            eps = next((1 if x > 0 else -1 for x in col if x), 1)
+            signs.append(eps)
+            gens.append(Generator(order, [eps * x for x in col]))
+        degrees.append((gens, reader(r, vinv, rank_out, u2, orders, signs)))
+    return degrees
+
+
+def _class_or_not(read, chain):
+    try:
+        return read(chain)
+    except NotACycle:
+        return "not a cycle"
+
+
+def test_homology_matches_the_every_degree_reference():
+    # equal generators (orders included) in every degree, and equal
+    # classes of the same cycles and rejections of the same non-cycles;
+    # a degree without homology reads no transforms of its own
+    rng = random.Random(41)
+    zero_degrees = checked = rejected = 0
+    for cx in coordinatizer_cases():
+        summary = homology(cx)
+        reference = _reference_homology(cx)
+        for r, (gens, read) in enumerate(reference):
+            dh = summary.degree(r)
+            assert dh.generators == gens
+            if not gens:
+                zero_degrees += 1
+                assert (dh._vinv, dh._u2) == ([], [])
+                assert dh._boundary == cx.boundaries[r]
+            for _ in range(3):
+                z = {}
+                for g in gens:
+                    z = add_chains(z, cx.chain(g.vector, r), rng.randrange(-6, 7))
+                if cx.dim(r + 1):
+                    c = cx.chain([rng.randrange(-3, 4) for _ in range(cx.dim(r + 1))], r + 1)
+                    z = add_chains(z, cx.boundary(c, r + 1))
+                assert summary.class_of(z, r) == read(z)
+                checked += 1
+                if cx.dim(r):
+                    w = add_chains(z, {rng.choice(cx.bases[r]): rng.choice([-1, 1])})
+                    got = _class_or_not(lambda chain: summary.class_of(chain, r), w)
+                    assert got == _class_or_not(read, w)
+                    rejected += got == "not a cycle"
+    assert zero_degrees > 150 and checked > 1000 and rejected > 250
+
+
+def _snf_calls(monkeypatch, cx):
+    """The summary of cx and its SNF calls by kind: "factors" (no
+    transforms), "boundary" (V, V⁻¹) and "presentation" (U, U⁻¹)."""
+    calls = []
+    original = chains_module.snf
+
+    def snf_counted(a, left=True, right=True):
+        calls.append("factors" if not (left or right) else "boundary" if right else "presentation")
+        return original(a, left=left, right=right)
+
+    monkeypatch.setattr(chains_module, "snf", snf_counted)
+    summary = homology(cx)
+    monkeypatch.setattr(chains_module, "snf", original)
+    return summary, calls
+
+
+def test_transforms_are_carried_only_in_degrees_with_homology(monkeypatch):
+    # factors of every ∂_r with a target; V, V⁻¹ of ∂_r and U, U⁻¹ of the
+    # image of ∂_{r+1} only where H_r ≠ 0
+    for cx in coordinatizer_cases():
+        summary, calls = _snf_calls(monkeypatch, cx)
+        live = [r for r, dh in enumerate(summary.degrees) if dh.generators]
+        assert calls.count("factors") == sum(1 for r in range(1, cx.top_degree + 1) if cx.dim(r) and cx.dim(r - 1))
+        assert calls.count("boundary") == sum(1 for r in live if r and cx.dim(r - 1))
+        assert calls.count("presentation") == sum(1 for r in live if cx.dim(r + 1))
+    # boolean_cp3's level-0 complex has cells [1, 14, 36, 24] and H only
+    # in its top degree, which has no image to present: one SNF with
+    # transforms where today's reference took five
+    fixture = pathlib.Path(__file__).parent.parent / "fixtures" / "boolean_cp3.json"
+    cx = build_relative_complex(build_poset(parse_arrangement(fixture.read_text())), 0)
+    summary, calls = _snf_calls(monkeypatch, cx)
+    assert [len(dh.generators) for dh in summary.degrees] == [0, 0, 0, 1]
+    assert calls == ["factors"] * 3 + ["boundary"]
 
 
 def _reference_shuffles(p, q):

@@ -1,5 +1,7 @@
 import json
 import os
+import threading
+import time
 from fractions import Fraction
 
 import pytest
@@ -351,3 +353,90 @@ def test_json_writer_matches_json_dumps_on_awkward_values():
     assert cli._json(doc) == json.dumps(doc, indent=2)
     for scalar in ("x", 7, None, True, [], {}):
         assert cli._json(scalar) == json.dumps(scalar, indent=2)
+
+
+USAGE = """usage: projarr [-h] [--affine A0] [--c C] [--base BASE] [--seed SEED]
+               [--max-degree MAX_DEGREE] [--format {json,text}]
+               {homology,oracle,poset,presentation,ring,verify} [input]
+"""
+
+HELP = USAGE + """
+Integral cohomology rings of complex projective subspace arrangement
+complements, from exact rational input.
+
+positional arguments:
+  {homology,oracle,poset,presentation,ring,verify}
+  input                 arrangement JSON path (default stdin)
+
+options:
+  -h, --help            show this help message and exit
+  --affine A0           affine mode with the given member at infinity
+  --c C                 codimension class c
+  --base BASE           base member index
+  --seed SEED
+  --max-degree MAX_DEGREE
+  --format {json,text}
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, code, out, err",
+    [
+        (["--help"], 0, HELP, ""),
+        (["ring", "--format", "xml"], 2, "",
+         USAGE + "projarr: error: argument --format: invalid choice: 'xml' (choose from 'json', 'text')\n"),
+        (["frobnicate"], 2, "", USAGE + "projarr: error: argument command: invalid choice: 'frobnicate' "
+         "(choose from 'homology', 'oracle', 'poset', 'presentation', 'ring', 'verify')\n"),
+        (["ring", "--seed", "x"], 2, "", USAGE + "projarr: error: argument --seed: invalid int value: 'x'\n"),
+        ([], 2, "", USAGE + "projarr: error: the following arguments are required: command\n"),
+    ],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else None,
+)
+def test_help_and_argument_errors_are_unchanged_by_the_kept_parser(capsys, monkeypatch, argv, code, out, err):
+    # byte for byte what a parser built per call printed, at 80 columns,
+    # on a parser's first use and on a later one; the parser is built on
+    # the first main call of the process, so the cache is cleared around
+    # the test to build it at the width set here
+    monkeypatch.setenv("COLUMNS", "80")
+    cli._parser.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                main(argv)
+            assert exit_info.value.code == code
+            assert capsys.readouterr() == (out, err)
+            assert not cli._PARSING.locked()
+    finally:
+        cli._parser.cache_clear()
+
+
+def test_the_parser_is_built_once_per_process(capsys):
+    cli._parser.cache_clear()
+    for command in ("poset", "ring", "oracle"):
+        assert main([command, fixture("points3_cp1")]) == 0
+    assert cli._parser.cache_info().misses == 1
+
+
+def test_the_kept_parser_parses_one_thread_at_a_time(capsys, monkeypatch):
+    # parse_intermixed_args swaps the shared parser's positionals while
+    # it parses; main holds a lock around it, so parses never overlap
+    parser = cli._parser()
+    parse = parser.parse_intermixed_args
+    active, overlap = [0], []
+
+    def slow_parse(argv):
+        active[0] += 1
+        overlap.append(active[0])
+        time.sleep(0.01)
+        args = parse(argv)
+        active[0] -= 1
+        return args
+
+    monkeypatch.setattr(parser, "parse_intermixed_args", slow_parse)
+    threads = [threading.Thread(target=main, args=(["poset", os.devnull],)) for _ in range(4)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert overlap == [1, 1, 1, 1]
+    assert not cli._PARSING.locked()

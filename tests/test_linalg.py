@@ -10,7 +10,6 @@ from arrangements import boolean, generic_hyperplanes
 from projarr import chains, parse_arrangement
 from projarr.linalg import (
     Subspace,
-    kernel,
     rational_view,
     rref,
     snf,
@@ -53,11 +52,19 @@ def test_rref_idempotent_on_random_matrices():
 
 
 def test_kernel_vectors_annihilated():
+    # the common zeros of the rows of m, and back through the annihilator
     m = [[1, 2, 3], [0, 1, 1]]
-    for v in kernel(m, 3):
+    zeros = Subspace.from_equations(3, m)
+    for v in zeros.basis:
         for row in m:
             assert sum(a * b for a, b in zip(row, v)) == 0
-    assert len(kernel(m, 3)) == 1
+    assert zeros.dim == 1
+    assert Subspace.from_span(3, zeros.annihilator) == Subspace.from_span(3, m)
+    assert Subspace.from_equations(3, zeros.annihilator) == zeros
+    # Fraction rows, a zero row and a repeated equation cut no further
+    rows = [[Fraction(1, 2), 1, Fraction(3, 2)], [0, 0, 0], [0, 2, 2], [0, 1, 1]]
+    assert Subspace.from_equations(3, rows) == zeros
+    assert Subspace.from_equations(3, []) == Subspace.full(3)
 
 
 def test_subspace_canonical_equality_across_constructions():

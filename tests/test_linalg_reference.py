@@ -19,7 +19,15 @@ from projarr.arrangement import (
     intersection_closure,
     restrict_to_hyperplane,
 )
-from projarr.linalg import AmbientMismatch, Subspace, _rank, rational_view, rref, subspace_intersection
+from projarr.linalg import (
+    AmbientMismatch,
+    Subspace,
+    _cut_rows,
+    _rank,
+    rational_view,
+    rref,
+    subspace_intersection,
+)
 from projarr.poset import build_poset, verify_eta
 
 BIG = 10**6
@@ -128,6 +136,55 @@ def test_rank_divides_back_to_minors():
         sys.settrace(previous)
     assert rank == sympy_rank(m) == 11
     assert 0 < largest <= bound
+
+
+def _watch_cut_rows(run):
+    """run(), with the largest square of an entry the rows of each
+    `_cut_rows` call hold, and Hadamard's bound on it for that call's
+    input: its intermediate rows, with their values, are kept no larger
+    than Bareiss elimination's minors of the input's rows [values | b],
+    so none exceeds ∏ max(1, ‖[values | b]‖²) over those rows."""
+    calls = []  # [bound squared, largest square] per call
+
+    def watch(frame, event, arg):
+        if frame.f_code is not _cut_rows.__code__:
+            return None
+        if event == "call":
+            basis, values = frame.f_locals["basis"], frame.f_locals["values"]
+            norms = (sum(v[i] ** 2 for v in values) + sum(x * x for x in b) for i, b in enumerate(basis))
+            calls.append([prod(max(1, x) for x in norms), 0])
+        rows = frame.f_locals.get("rows") or []
+        calls[-1][1] = max([calls[-1][1], *(x * x for row in rows for x in row)])
+        return watch
+
+    previous = sys.gettrace()
+    sys.settrace(watch)
+    try:
+        result = run()
+    finally:
+        sys.settrace(previous)
+    return result, calls
+
+
+def test_cuts_keep_their_entries_bounded():
+    # 20 dense equations in Q^21 are 20 cuts of the unit basis, and a
+    # hyperplane met with a plane is 19 cuts of the hyperplane's basis.
+    # Each step without its gcd division would double the entries' bits
+    rng = Random(1973)
+    m = [[rng.randint(-9, 9) for _ in range(21)] for _ in range(20)]
+    zeros, calls = _watch_cut_rows(lambda: Subspace.from_equations(21, m))
+    null = sympy.Matrix(m).nullspace()
+    assert zeros == Subspace.from_span(21, [[_fraction(x) for x in v] for v in null])
+    assert zeros.dim == 1
+    hyperplane = Subspace.from_equations(21, m[:1])
+    plane = Subspace.from_span(21, [[rng.randint(-9, 9) for _ in range(21)] for _ in range(2)])
+    meet, more = _watch_cut_rows(lambda: subspace_intersection(hyperplane, plane))
+    null = sympy.Matrix([m[0], *plane.annihilator]).nullspace()
+    assert meet == Subspace.from_span(21, [[_fraction(x) for x in v] for v in null])
+    assert meet.dim == 1
+    assert len(calls) == len(more) == 1
+    for bound, largest in calls + more:
+        assert 0 < largest <= bound
 
 
 negative_rationals = st.builds(Fraction, st.integers(-BIG, -1), st.integers(1, BIG))

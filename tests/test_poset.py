@@ -245,9 +245,10 @@ def test_index_of_rejects_a_subspace_outside_the_poset():
 def _reference_verify_eta(poset, seed=0):
     """The section check on a full `build_poset` of the section, as it was
     before it read the section's closure masks: the reference the mask
-    check must reproduce, detail strings included.  It restricts through
-    `projarr.poset.restrict_to_hyperplane`, so a planted fault reaches
-    both checks."""
+    check must reproduce, detail strings included.  Each image is the
+    span of the rows `projarr.poset._section_rows` gives, put in
+    canonical form and looked up, so a planted fault in that seam
+    reaches both checks."""
     try:
         h = generic_hyperplane(poset, seed)
         sectioned = hyperplane_section(poset, h)
@@ -257,7 +258,7 @@ def _reference_verify_eta(poset, seed=0):
     upper = [i for i in range(len(poset.elements)) if poset.d[i] >= 1]
     images = {}
     for i in upper:
-        img = poset_module.restrict_to_hyperplane(poset.elements[i], h)
+        img = Subspace.from_span(poset.n, poset_module._section_rows(poset.elements[i], h))
         if img.dim - 1 != poset.d[i] - 1:
             return EtaReport(False, f"dimension not lowered by one at element {i}")
         try:
@@ -291,10 +292,10 @@ FAULT_CASES = [("boolean(3)", boolean(3)), ("crossed_pairs", crossed_pairs()), (
 
 
 def _planted(monkeypatch, arr, remap):
-    """Both checks' reports on arr with restrict_to_hyperplane patched to
+    """Both checks' reports on arr with the restriction patched to
     restrict remap(s) in place of each element s."""
-    restrict = poset_module.restrict_to_hyperplane
-    monkeypatch.setattr(poset_module, "restrict_to_hyperplane", lambda s, h: restrict(remap(s), h))
+    restrict = poset_module._section_rows
+    monkeypatch.setattr(poset_module, "_section_rows", lambda s, h: restrict(remap(s), h))
     p = build_poset(arr)
     report = verify_eta(p)
     assert report == _reference_verify_eta(p)

@@ -1,4 +1,5 @@
 import pathlib
+import sys
 from math import comb
 
 import pytest
@@ -22,6 +23,8 @@ from projarr import (
     ring_table,
     verify_ring_axioms,
 )
+from projarr import chains
+from projarr.chains import _shuffle_paths
 from projarr.linalg import Subspace, rref
 from projarr.oracles import compare
 from projarr.ring import RingTable, _ring
@@ -222,6 +225,117 @@ def test_a_block_whose_target_has_no_cells_in_the_product_degree_is_zero():
     assert any(b.r > 0 for b in table.basis)  # so some product degree exceeds 0
     assert calls == m * m
     assert all(table.products[(i, j)] == {} for i in range(m) for j in range(m))
+
+
+def _reference_meet_shuffle(poset, c, d, evaluations):
+    """The meet kernel as it was before it kept a memo: the shuffle paths
+    of every pair of simplices walked again on every call.  Appends each
+    simplex pair it walks to evaluations."""
+    meet = poset.meet
+    out = {}
+    for sigma, a in c.items():
+        rows = [meet[u] for u in sigma]
+        for tau, b in d.items():
+            evaluations.append((sigma, tau))
+            grid = [row[v] for row in rows for v in tau]
+            for sign, path in _shuffle_paths(len(sigma) - 1, len(tau) - 1):
+                last = grid[0]
+                image = [last]
+                for x in path:
+                    v = grid[x]
+                    if v == last:
+                        break
+                    image.append(v)
+                    last = v
+                else:
+                    key = tuple(image)
+                    out[key] = out.get(key, 0) + sign * a * b
+    return {s: x for s, x in out.items() if x}
+
+
+def _memo_free_table(poset, affine, evaluations):
+    """The projective (affine=None) or affine table with A_affine at
+    infinity, assembled by `_ring` with every product from the memo-free
+    kernel, and in projective mode the semimodular check on every
+    vertex."""
+    n = poset.n
+    if affine is None:
+        summaries = dict(enumerate(decompose(poset).summaries))
+
+        def multiply_at(m):
+            def multiply(c, d):
+                result = _reference_meet_shuffle(poset, c, d, evaluations)
+                assert all(min(poset.d[v] for v in s) >= m for s in result)
+                return result
+
+            return multiply
+
+        return _ring(
+            poset, summaries, lambda k, r: 2 * n - 2 * k - r,
+            lambda b: (b.degree, -b.summand, b.r, b.index),
+            lambda k, l: None if k + l < n else (k + l - n, multiply_at(k + l - n)),
+        )
+    summaries = affine_decompose(poset, affine).summaries
+
+    def block(u, v):
+        w = poset.meet[u][v]
+        if w not in summaries or poset.d[w] != poset.d[u] + poset.d[v] - n:
+            return None
+        return w, lambda c, d: _reference_meet_shuffle(poset, c, d, evaluations)
+
+    return _ring(
+        poset, summaries, lambda u, m: 2 * n - 2 * poset.d[u] - m,
+        lambda b: (b.degree, poset.d[b.summand], b.summand, b.r, b.index), block,
+    )
+
+
+def shuffled_pairs(build):
+    """build()'s result and the simplex pairs whose terms the meet kernel
+    computes while it runs."""
+    pairs = []
+    terms = chains._meet_terms.__code__
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code is terms:
+            pairs.append((frame.f_locals["sigma"], frame.f_locals["tau"]))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        result = build()
+    finally:
+        sys.setprofile(previous)
+    return result, pairs
+
+
+def _table_cases():
+    """Every fixture in projective mode, and in affine mode with member 0
+    at infinity where it is a hyperplane."""
+    for path in sorted(FIXTURES.glob("*.json")):
+        yield path.stem, None
+        arr = parse_arrangement(path.read_text())
+        if arr.subspaces and arr.subspaces[0].dim == arr.n:
+            yield path.stem, 0
+
+
+TABLE_CASES = list(_table_cases())
+
+
+@pytest.mark.parametrize("name, affine", TABLE_CASES, ids=[f"{n} {'ring' if a is None else '--affine 0'}" for n, a in TABLE_CASES])
+def test_the_table_shuffles_each_simplex_pair_once(name, affine):
+    # equal tables to the memo-free kernel's, and each distinct (σ, τ)
+    # walked once per table where the memo-free kernel walks it once per
+    # product it enters
+    poset = build_poset(parse_arrangement((FIXTURES / f"{name}.json").read_text()))
+    build = (lambda: ring_table(decompose(poset))) if affine is None else (lambda: affine_decompose(poset, affine))
+    table, pairs = shuffled_pairs(build)
+    evaluations = []
+    reference = _memo_free_table(poset, affine, evaluations)
+    assert (table.basis, table.poincare, table.products) == (reference.basis, reference.poincare, reference.products)
+    assert len(pairs) == len(set(pairs))
+    assert set(pairs) == set(evaluations)
+    if name == "boolean_cp3" and affine is None:
+        assert (len(evaluations), len(pairs)) == (349, 193)
 
 
 def test_products_determinism():

@@ -1,7 +1,8 @@
 """Each pipeline stage runs once per CLI command, cycles are
-coordinatized by reading one column of V⁻¹ per nonzero, homology asks
-Smith normal form only for the transforms it reads, subspaces are
-intersected in the first one's coordinates, the closure reduces once per
+coordinatized by reading one column of V⁻¹ (or of ∂ where there is no
+homology) per nonzero, homology asks Smith normal form only for the
+transforms it reads, subspaces are intersected in the first one's
+coordinates, the closure reduces once per
 element it cuts, and the ring table enters no public chain function and
 reads classes once per live block of basis pairs.
 
@@ -20,7 +21,7 @@ import pytest
 from projarr import chains, linalg, ring
 from projarr.arrangement import intersection_closure, parse_arrangement
 from projarr.cli import main
-from projarr.linalg import Subspace, kernel, rref, subspace_intersection
+from projarr.linalg import Subspace, rref, subspace_intersection
 from projarr.poset import build_poset
 from projarr.ring import decompose
 
@@ -97,23 +98,27 @@ class CountingColumns(list):
 @pytest.mark.parametrize("flags", HOMOLOGY_FLAGS, ids=" ".join)
 def test_cycles_are_coordinatized_without_dense_matvec(capsys, monkeypatch, flags):
     # the class reader, on a block of chains with t nonzeros in all,
-    # reads exactly t columns of V⁻¹, on every complex homology is
+    # reads exactly t columns: of V⁻¹ where H_r ≠ 0, of ∂_r where H_r = 0
+    # (a cycle there is only checked), on every complex homology is
     # computed for; class_of is its one-chain case
     original_homology, original_classes_of = chains.homology, chains.HomologySummary.classes_of
-    reads = []  # (columns read, nonzeros, chains) per reader call
+    reads = []  # (columns read, nonzeros, chains, H_r = 0) per reader call
 
     def homology(cx):
         summary = original_homology(cx)
         for degree in summary.degrees:
             degree._vinv = CountingColumns(degree._vinv)
+            degree._boundary = CountingColumns(degree._boundary)
         return summary
 
     def classes_of(self, chain_list, r):
-        vinv = self.degree(r)._vinv
-        before = getattr(vinv, "reads", 0)
+        degree = self.degree(r)
+        zero = not degree.generators
+        columns = degree._boundary if zero else degree._vinv
+        before = getattr(columns, "reads", 0)
         coords = original_classes_of(self, chain_list, r)
         nonzeros = sum(1 for chain in chain_list for c in chain.values() if c)
-        reads.append((getattr(vinv, "reads", 0) - before, nonzeros, len(chain_list)))
+        reads.append((getattr(columns, "reads", 0) - before, nonzeros, len(chain_list), zero))
         return coords
 
     for module in ("ring", "presentation"):
@@ -123,18 +128,22 @@ def test_cycles_are_coordinatized_without_dense_matvec(capsys, monkeypatch, flag
     for name in sorted(os.listdir(FIXTURES)):
         succeeded += main(flags + [os.path.join(FIXTURES, name)]) == 0
     assert succeeded >= 2
-    assert sum(t for _, t, _ in reads) > 0
-    assert all(read == t for read, t, _ in reads)
+    assert sum(t for _, t, _, _ in reads) > 0
+    assert all(read == t for read, t, _, _ in reads)
     if flags == ["ring"]:
-        # the table reads its products a block at a time (an affine block
-        # on these fixtures holds one pair)
-        assert any(count > 1 for _, _, count in reads)
+        # products land in degrees with and without homology, and the
+        # table reads them a block at a time (an affine block on these
+        # fixtures holds one pair)
+        assert {zero for _, t, _, zero in reads if t} == {True, False}
+        assert any(count > 1 for _, _, count, _ in reads)
 
 
 @pytest.mark.parametrize("flags", HOMOLOGY_FLAGS, ids=" ".join)
 def test_homology_carries_only_the_transforms_it_reads(capsys, monkeypatch, flags):
-    # V, V⁻¹ from the SNF of a boundary ∂_r; U, U⁻¹ from that of the image
-    # presentation, the matrix _image_in_kernel_coords builds
+    # every boundary ∂_r gets an SNF with no transforms, for its
+    # invariant factors; where H_r ≠ 0, ∂_r gets one more with V, V⁻¹,
+    # and the image presentation (the matrix _image_in_kernel_coords
+    # builds) one with U, U⁻¹
     presentations = {}  # id -> matrix, kept alive so that no id is reused
     calls = []
     original_image, original_snf = chains._image_in_kernel_coords, chains.snf
@@ -153,28 +162,41 @@ def test_homology_carries_only_the_transforms_it_reads(capsys, monkeypatch, flag
     monkeypatch.setattr(chains, "_image_in_kernel_coords", image_in_kernel_coords)
     for name in sorted(os.listdir(FIXTURES)):
         main(flags + [os.path.join(FIXTURES, name)])
-    assert {of_boundary for of_boundary, _ in calls} == {True, False}
+    kinds = []
     for of_boundary, res in calls:
         left = (res.u_rows, res.uinv_cols)
         right = (res.v_cols, res.vinv_rows)
+        if of_boundary and right == (None, None):
+            kinds.append("factors")
+            assert left == (None, None)
+            continue
+        kinds.append("boundary" if of_boundary else "presentation")
         carried, uncarried = (right, left) if of_boundary else (left, right)
         assert None not in carried
         assert uncarried == (None, None)
+    assert {"factors", "boundary"} <= set(kinds)
+    assert kinds.count("factors") >= kinds.count("boundary")
+    if flags == ["ring"]:
+        # the local complexes and the presentations' level complexes of
+        # these fixtures have homology only in their top degree, which
+        # has no image to present
+        assert "presentation" in kinds
 
 
 @pytest.mark.parametrize("flags", [["verify"], ["presentation", "--c", "1"], ["presentation", "--c", "2"]], ids=" ".join)
 def test_intersections_are_solved_in_the_first_subspace_s_coordinates(capsys, flags):
-    # every kernel the cut of q by a member solves has dim q unknowns (the
-    # coefficients of the meet in q's basis), never ambient_dim.  The
-    # closure and subspace_intersection both cut through linalg._cut.
-    seen = []  # (ncols, q.dim, q.ambient_dim) per kernel call
+    # every cut of q by a member eliminates dim q rows (the basis of q,
+    # with the member's equations given by their values on it), never
+    # ambient_dim.  The closure and subspace_intersection both cut
+    # through linalg._cut.
+    seen = []  # (rows, value columns, q.dim, q.ambient_dim) per cut
 
     def profile(frame, event, arg):
-        if event == "call" and frame.f_code is kernel.__code__:
+        if event == "call" and frame.f_code is linalg._cut_rows.__code__:
             caller = frame.f_back
             if caller.f_code is linalg._cut.__code__:
-                q = caller.f_locals["a"]
-                seen.append((frame.f_locals["ncols"], q.dim, q.ambient_dim))
+                q, values = caller.f_locals["a"], frame.f_locals["values"]
+                seen.append((len(frame.f_locals["basis"]), {len(v) for v in values}, q.dim, q.ambient_dim))
 
     previous = sys.getprofile()
     sys.setprofile(profile)
@@ -183,8 +205,8 @@ def test_intersections_are_solved_in_the_first_subspace_s_coordinates(capsys, fl
             main(flags + [os.path.join(FIXTURES, name)])
     finally:
         sys.setprofile(previous)
-    assert any(dim < ambient for _, dim, ambient in seen)
-    assert all(ncols == dim for ncols, dim, _ in seen)
+    assert any(dim < ambient for _, _, dim, ambient in seen)
+    assert all(rows == dim and columns == {dim} for rows, columns, dim, _ in seen)
 
 
 def closure_work(arr):
