@@ -46,7 +46,7 @@ for (i, j), entry in sorted(table.products.items()):
         print(f"  e{i} * e{j} = {terms}")
 
 print("\n=== independent oracles ===")
-report = compare(dec)
+report = compare(table)
 print("Euler characteristic: engine", report.euler_engine, "oracle", report.euler_oracle)
 print("all oracle checks passed:", report.passed)
 

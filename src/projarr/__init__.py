@@ -37,7 +37,6 @@ from .presentation import (
 from .ring import (
     affine_decompose,
     decompose,
-    poincare_polynomial,
     ring_table,
     verify_ring_axioms,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "parse_arrangement",
     "pi_context",
     "pi_image",
-    "poincare_polynomial",
     "projective_quotient",
     "ring_table",
     "rref",

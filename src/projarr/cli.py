@@ -24,12 +24,7 @@ from .oracles import (
     stratified_euler,
 )
 from .poset import build_poset, verify_eta
-from .presentation import (
-    NotCArrangement,
-    build_presentation,
-    pi_context,
-    verify_presentation,
-)
+from .presentation import build_presentation, pi_context, verify_presentation
 from .ring import affine_decompose, decompose, ring_table, verify_ring_axioms
 
 
@@ -228,17 +223,12 @@ def cmd_ring(arr, args):
 
 def cmd_presentation(arr, args):
     if args.c is None:
-        print("error: presentation requires --c", file=sys.stderr)
-        return 2
+        raise InputError("presentation requires --c")
     arr.check_member_index("--base", args.base)
     if args.max_degree is not None and args.max_degree < 0:
         raise InputError(f"--max-degree {args.max_degree} must be at least 0")
     poset = build_poset(arr)
-    try:
-        pres = build_presentation(poset, args.c, args.base)
-    except NotCArrangement as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+    pres = build_presentation(poset, args.c, args.base)
     report = verify_presentation(pi_context(ring_table(decompose(poset)), pres), args.max_degree)
     doc = {
         "c": pres.c,
@@ -265,9 +255,8 @@ def cmd_presentation(arr, args):
 
 def cmd_verify(arr, args):
     poset = build_poset(arr)
-    dec = decompose(poset)
-    table = ring_table(dec)
-    oracle_report = compare(dec)
+    table = ring_table(decompose(poset))
+    oracle_report = compare(table)
     axiom_report = verify_ring_axioms(table)
     failures = oracle_report.failures + axiom_report.failures
     eta_results = []
@@ -349,7 +338,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return COMMANDS[args.command](arr, args)
-    except (InputError, NotCArrangement, ValueError) as e:
+    except ValueError as e:  # InputError and NotCArrangement among them
         print(f"error: {e}", file=sys.stderr)
         return 2
 

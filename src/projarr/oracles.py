@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from .arrangement import Arrangement
 from .poset import IntersectionPoset, build_poset
-from .ring import Decomposition, poincare_polynomial
+from .ring import RingTable
 
 
 @dataclass
@@ -116,11 +116,11 @@ class OracleReport:
     failures: list[str] = field(default_factory=list)
 
 
-def compare(dec: Decomposition) -> OracleReport:
+def compare(table: RingTable) -> OracleReport:
     """Run every applicable oracle against the engine's Betti numbers."""
-    poset = dec.poset
+    poset = table.poset
     arr = poset.arr
-    poincare = poincare_polynomial(dec)
+    poincare = table.poincare
     euler_engine = sum((-1) ** i * c for i, c in enumerate(poincare))
     euler_oracle = stratified_euler(poset)
     failures = []

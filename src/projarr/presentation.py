@@ -16,17 +16,17 @@ from itertools import combinations
 
 from .chains import (
     ChainComplex,
+    HomologySummary,
     IntChain,
     _meet_shuffle,
     _sum_columns,
     add_chains,
-    build_relative_complex,
     complex_from_faces,
     homology,
 )
 from .linalg import _rank, snf
 from .poset import IntersectionPoset, is_c_arrangement, minimal_dependent_sets
-from .ring import RingElement, RingTable
+from .ring import Decomposition, RingElement, RingTable
 
 Monomial = tuple[int, tuple[int, ...]]  # (x power, sorted y indices)
 Polynomial = dict[Monomial, int]
@@ -205,13 +205,6 @@ def gk_chain(poset: IntersectionPoset, base_index: int, simplex: tuple[int, ...]
     return chain
 
 
-@dataclass
-class ChainMapData:
-    atomic: ChainComplex
-    relative: ChainComplex
-    images: list[list[IntChain]]  # images[r][j]: the image chain of atomic.bases[r][j]
-
-
 def _chain_map_images(atomic: ChainComplex, relative: ChainComplex, image, shift: int) -> list:
     """Per degree r, the chains image(r, simplex) in C^rel_{r+shift} of the
     basis simplices of D^k_r, each checked to lie in the target basis."""
@@ -229,54 +222,15 @@ def _chain_map_images(atomic: ChainComplex, relative: ChainComplex, image, shift
     return images
 
 
-def fk_chain_map(poset: IntersectionPoset, k: int) -> ChainMapData:
-    atomic = atomic_complex(poset, k)
-    relative = build_relative_complex(poset, k)
-    images = _chain_map_images(atomic, relative, lambda r, s: fk_chain(poset, s), 0)
-    return ChainMapData(atomic, relative, images)
-
-
 def gk_level(n: int, c: int, k: int) -> int:
     """The block level a with n - (a+1)c < k <= n - ac."""
     return (n - k) // c
 
 
-def gk_chain_map(poset: IntersectionPoset, c: int, base_index: int, k: int) -> ChainMapData:
-    if not is_c_arrangement(poset, c):
-        raise NotCArrangement(f"not a {c}-arrangement")
-    atomic = atomic_complex(poset, k)
-    relative = build_relative_complex(poset, k)
-    a = gk_level(poset.n, c, k)
-
-    def image(r, simplex):
-        if r != a:
-            return {}
-        return gk_chain(poset, base_index, simplex)
-
-    images = _chain_map_images(atomic, relative, image, 0)
-    return ChainMapData(atomic, relative, images)
-
-
-def homotopy_images(
-    poset: IntersectionPoset, c: int, base_index: int, k: int,
-    atomic: ChainComplex, relative: ChainComplex,
-) -> list[list[IntChain]]:
-    """K: D^k_r -> C^rel_{r+1}, the cone over the base member below level a."""
-    a = gk_level(poset.n, c, k)
-
-    def image(r, simplex):
-        if r >= a or base_index in simplex:  # zero, or a degenerate cone simplex
-            return {}
-        return fk_chain(poset, (base_index,) + simplex)
-
-    return _chain_map_images(atomic, relative, image, 1)
-
-
-def _is_chain_map(data: ChainMapData) -> bool:
+def _is_chain_map(atomic: ChainComplex, relative: ChainComplex, images: list) -> bool:
     """f(∂s) = ∂f(s) for every basis simplex s of the atomic complex."""
-    atomic, images = data.atomic, data.images
     return all(
-        _sum_columns(images[r - 1], col.items()) == data.relative.boundary(images[r][j], r)
+        _sum_columns(images[r - 1], col.items()) == relative.boundary(images[r][j], r)
         for r in range(1, atomic.top_degree + 1)
         for j, col in enumerate(atomic.boundaries[r])
     )
@@ -288,28 +242,25 @@ class VerificationReport:
     detail: str = ""
 
 
-def verify_fk_iso(poset: IntersectionPoset, k: int) -> VerificationReport:
-    """Check that the atomic-complex comparison map induces an isomorphism
-    on homology in every degree."""
-    data = fk_chain_map(poset, k)
-    if not _is_chain_map(data):
+def _induced_iso(atomic: ChainComplex, summary: HomologySummary, images: list) -> VerificationReport:
+    """Check that the map with these images, from the atomic complex into
+    the complex of summary, is a chain map inducing an isomorphism on
+    homology in every degree."""
+    relative = summary.complex
+    if not _is_chain_map(atomic, relative, images):
         return VerificationReport(False, "comparison map does not commute with boundaries")
-    h_at = homology(data.atomic)
-    h_rel = homology(data.relative)
-    top = max(data.atomic.top_degree, data.relative.top_degree)
-    for r in range(top + 1):
-        da, dr = h_at.degree(r), h_rel.degree(r)
+    h_at = homology(atomic)
+    for r in range(max(atomic.top_degree, relative.top_degree) + 1):
+        da, dr = h_at.degree(r), summary.degree(r)
         free_r = dr.free_rank
         if da.free_rank != free_r or da.torsion != dr.torsion:
             return VerificationReport(False, f"group mismatch in degree {r}")
         if not da.generators:
             continue
         if da.torsion:
-            return VerificationReport(
-                False, f"torsion comparison in degree {r} unsupported"
-            )
+            return VerificationReport(False, f"torsion comparison in degree {r} unsupported")
         cols = [
-            h_rel.class_of(_sum_columns(data.images[r], enumerate(gen.vector)), r)
+            summary.class_of(_sum_columns(images[r], enumerate(gen.vector)), r)
             for gen in da.generators
         ]
         matrix = [[cols[j][i] for j in range(len(cols))] for i in range(free_r)]
@@ -318,18 +269,42 @@ def verify_fk_iso(poset: IntersectionPoset, k: int) -> VerificationReport:
     return VerificationReport(True)
 
 
-def verify_fg_homotopic(poset: IntersectionPoset, c: int, base_index: int, k: int) -> VerificationReport:
-    """Chain identity f - g = K∂ + ∂K on every basis simplex, plus
-    class-level agreement."""
-    fdata = fk_chain_map(poset, k)
-    gdata = gk_chain_map(poset, c, base_index, k)
-    if not _is_chain_map(fdata) or not _is_chain_map(gdata):
+def verify_fk_iso(dec: Decomposition, k: int) -> VerificationReport:
+    """Check that the comparison map f_k, from the atomic complex into the
+    decomposition's level-k relative complex, induces an isomorphism on
+    homology in every degree."""
+    poset = dec.poset
+    atomic = atomic_complex(poset, k)
+    summary = dec.summaries[k]
+    images = _chain_map_images(atomic, summary.complex, lambda r, s: fk_chain(poset, s), 0)
+    return _induced_iso(atomic, summary, images)
+
+
+def verify_fg_homotopic(dec: Decomposition, c: int, base_index: int, k: int) -> VerificationReport:
+    """Chain identity f - g = K∂ + ∂K on every basis simplex, where K is
+    the cone over the base member below level a, plus class-level
+    agreement of f and g."""
+    poset = dec.poset
+    if not is_c_arrangement(poset, c):
+        raise NotCArrangement(f"not a {c}-arrangement")
+    atomic = atomic_complex(poset, k)
+    summary = dec.summaries[k]
+    relative = summary.complex
+    a = gk_level(poset.n, c, k)
+    f = _chain_map_images(atomic, relative, lambda r, s: fk_chain(poset, s), 0)
+    g = _chain_map_images(
+        atomic, relative, lambda r, s: gk_chain(poset, base_index, s) if r == a else {}, 0
+    )
+    if not _is_chain_map(atomic, relative, f) or not _is_chain_map(atomic, relative, g):
         return VerificationReport(False, "maps do not commute with boundaries")
-    atomic, relative = fdata.atomic, fdata.relative
-    kimages = homotopy_images(poset, c, base_index, k, atomic, relative)
+    # K is zero from level a up, and on a simplex through the base (a degenerate cone)
+    kimages = _chain_map_images(
+        atomic, relative,
+        lambda r, s: {} if r >= a or base_index in s else fk_chain(poset, (base_index,) + s), 1,
+    )
     for r in range(atomic.top_degree + 1):
         for j, col in enumerate(atomic.boundaries[r]):
-            want = add_chains(fdata.images[r][j], gdata.images[r][j], -1)
+            want = add_chains(f[r][j], g[r][j], -1)
             # col is empty in degree 0, where K∂ vanishes
             got = add_chains(
                 _sum_columns(kimages[r - 1], col.items()), relative.boundary(kimages[r][j], r + 1)
@@ -337,12 +312,11 @@ def verify_fg_homotopic(poset: IntersectionPoset, c: int, base_index: int, k: in
             if want != got:
                 return VerificationReport(False, f"homotopy identity fails in degree {r}")
     h_at = homology(atomic)
-    h_rel = homology(relative)
     for r in range(atomic.top_degree + 1):
         for gen in h_at.degree(r).generators:
-            f = _sum_columns(fdata.images[r], enumerate(gen.vector))
-            g = _sum_columns(gdata.images[r], enumerate(gen.vector))
-            if h_rel.class_of(f, r) != h_rel.class_of(g, r):
+            fr = _sum_columns(f[r], enumerate(gen.vector))
+            gr = _sum_columns(g[r], enumerate(gen.vector))
+            if summary.class_of(fr, r) != summary.class_of(gr, r):
                 return VerificationReport(False, f"classes differ in degree {r}")
     return VerificationReport(True)
 
@@ -404,10 +378,16 @@ class PresentationReport:
 def verify_presentation(ctx: PiContext, max_degree: int | None = None) -> PresentationReport:
     """Thm-level verification: π kills every relation, and per degree the
     rational rank of the π-image of the monomial span equals both the
-    R/I rank and the engine's free rank."""
+    R/I rank and the engine's free rank, in degrees 0..max_degree (default
+    2n).  Above L = max(2n, 2(c - 1) + (2c - 1)t) neither the ring nor
+    R/(x^c) has anything, so a max_degree above L is a ValueError."""
     n = ctx.table.n
+    p = ctx.presentation
+    top = max(2 * n, 2 * (p.c - 1) + (2 * p.c - 1) * p.t)
     if max_degree is None:
         max_degree = 2 * n
+    elif max_degree > top:
+        raise ValueError(f"max degree {max_degree} is above {top}, past which every rank is 0")
     for rel in ctx.presentation.relations:
         if pi_polynomial(ctx, rel):
             return PresentationReport(False, [], False, "relation not in the kernel")

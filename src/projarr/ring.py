@@ -163,16 +163,6 @@ def ring_table(dec: Decomposition) -> RingTable:
     )
 
 
-def poincare_polynomial(dec: Decomposition) -> list[int]:
-    """Free rank of H^i, i = 0..2n, as a coefficient list."""
-    n = dec.n
-    out = [0] * (2 * n + 1)
-    for k in range(n + 1):
-        for r, dh in enumerate(dec.summaries[k].degrees):
-            out[2 * n - 2 * k - r] += dh.free_rank
-    return out
-
-
 @dataclass
 class AxiomReport:
     passed: bool

@@ -24,7 +24,6 @@ from projarr import (
     decompose,
     os_poincare_projective,
     pi_context,
-    poincare_polynomial,
     ring_table,
     stratified_euler,
     verify_eta,
@@ -108,7 +107,7 @@ def test_criterion_02_hyperplane_oracle():
     detail = ""
     assert len(HYPERPLANE_FIXTURES) >= 5
     for name, arr in HYPERPLANE_FIXTURES:
-        engine = poincare_polynomial(decompose(build_poset(arr)))
+        engine = list(ring_of(arr).poincare)
         while engine and engine[-1] == 0:
             engine.pop()
         oracle = os_poincare_projective(arr)
@@ -122,7 +121,7 @@ def test_criterion_03_euler_oracle():
     ok = True
     detail = ""
     for name, arr in ALL_FIXTURES:
-        betti = poincare_polynomial(decompose(build_poset(arr)))
+        betti = ring_of(arr).poincare
         engine = sum((-1) ** i * c for i, c in enumerate(betti))
         oracle = stratified_euler(build_poset(arr))
         if engine != oracle:
@@ -170,10 +169,10 @@ def test_criterion_06_comparison_maps():
     ok = True
     detail = ""
     for name, arr, c in C_FIXTURES:
-        poset = build_poset(arr)
+        dec = decompose(build_poset(arr))
         for k in range(arr.n + 1):
-            r1 = verify_fk_iso(poset, k)
-            r2 = verify_fg_homotopic(poset, c, 0, k)
+            r1 = verify_fk_iso(dec, k)
+            r2 = verify_fg_homotopic(dec, c, 0, k)
             if not (r1.passed and r2.passed):
                 ok = False
                 detail = f"{name} k={k}: {r1.detail or r2.detail}"

@@ -69,8 +69,9 @@ def test_presentation_command(capsys):
 
 
 def test_presentation_requires_c(capsys):
-    code, _ = run(capsys, "presentation", fixture("skew_lines"))
-    assert code == 2
+    assert main(["presentation", fixture("skew_lines")]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: presentation requires --c\n")
 
 
 def test_presentation_wrong_c(capsys):
@@ -268,6 +269,24 @@ def test_negative_max_degree_exit_2(capsys):
     code, out = run(capsys, "presentation", "--c", "2", "--max-degree", "0", fixture("skew_lines"))
     assert code == 0
     assert [r["degree"] for r in json.loads(out)["ranks"]] == [0]
+
+
+@pytest.mark.parametrize("name, top", [("skew_lines", 6), ("skew_lines3", 8)])
+def test_max_degree_is_bounded_by_the_top_degree(capsys, name, top):
+    # L = max(2n, 2(c - 1) + (2c - 1)t): n = 3, c = 2 and t = 1 or 2; above
+    # L every row is (d, 0, 0, 0), so a larger bound is refused
+    _, out = run(capsys, "presentation", "--c", "2", fixture(name))
+    rows = json.loads(out)["ranks"]
+    code, out = run(capsys, "presentation", "--c", "2", "--max-degree", str(top), fixture(name))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["passed"] is True
+    zero = {"pi_rank": 0, "presentation_rank": 0, "engine_rank": 0}
+    assert doc["ranks"] == rows + [{"degree": d, **zero} for d in range(len(rows), top + 1)]
+    assert main(["presentation", "--c", "2", "--max-degree", str(top + 1), fixture(name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: max degree {top + 1} is above {top}, past which every rank is 0\n"
 
 
 EMIT_COMMANDS = [

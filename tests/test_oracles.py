@@ -10,7 +10,7 @@ from arrangements import (
 from projarr import compare, mobius, os_poincare_projective, stratified_euler
 from projarr.oracles import OracleError, os_poincare_central
 from projarr.poset import build_poset
-from projarr.ring import decompose
+from projarr.ring import decompose, ring_table
 
 import pytest
 
@@ -92,5 +92,5 @@ def test_compare_all_fixtures():
         mixed(),
     ]
     for arr in fixtures:
-        report = compare(decompose(build_poset(arr)))
+        report = compare(ring_table(decompose(build_poset(arr))))
         assert report.passed, report.failures

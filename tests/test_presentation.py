@@ -1,3 +1,4 @@
+import pathlib
 from itertools import combinations
 
 import pytest
@@ -6,6 +7,7 @@ from arrangements import C_FIXTURES, boolean, mixed, points_cp1, skew_lines
 from projarr import (
     build_presentation,
     graded_ranks,
+    parse_arrangement,
     pi_context,
     pi_image,
     verify_fg_homotopic,
@@ -17,17 +19,19 @@ from projarr.poset import build_poset, set_defect
 from projarr.ring import decompose, ring_table
 from projarr import presentation
 from projarr.presentation import (
-    ChainMapData,
     NotCArrangement,
     _chain_map_images,
+    _induced_iso,
     atomic_complex,
-    fk_chain_map,
-    gk_chain_map,
+    fk_chain,
+    gk_chain,
     gk_level,
     monomial_mul,
     pi_polynomial,
     poly_mul_monomial,
 )
+
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
 def context(arr, c, base_index=0):
     poset = build_poset(arr)
@@ -145,21 +149,25 @@ def test_atomic_complex_shape():
 
 
 def test_fk_gk_are_chain_maps():
-    # f(∂s) = ∂f(s) for every basis simplex s of the atomic complex
+    # f(∂s) = ∂f(s) for every basis simplex s of the atomic complex, with
+    # g nonzero only in degree a
     for arr, c in C_FIXTURES:
         poset = build_poset(arr)
+        dec = decompose(poset)
         for k in range(arr.n + 1):
-            fdata = fk_chain_map(poset, k)
-            gdata = gk_chain_map(poset, c, 0, k)
-            for r in range(1, fdata.atomic.top_degree + 1):
-                for data in (fdata, gdata):
-                    for j, s in enumerate(data.atomic.bases[r]):
+            atomic, relative = atomic_complex(poset, k), dec.summaries[k].complex
+            a = gk_level(arr.n, c, k)
+            f = _chain_map_images(atomic, relative, lambda r, s: fk_chain(poset, s), 0)
+            g = _chain_map_images(
+                atomic, relative, lambda r, s: gk_chain(poset, 0, s) if r == a else {}, 0
+            )
+            for r in range(1, atomic.top_degree + 1):
+                for images in (f, g):
+                    for j, s in enumerate(atomic.bases[r]):
                         lhs = {}
-                        for face, x in data.atomic.boundary({s: 1}, r).items():
-                            face_image = data.images[r - 1][data.atomic.index[r - 1][face]]
-                            lhs = add_chains(lhs, face_image, x)
-                        rhs = data.relative.boundary(data.images[r][j], r)
-                        assert lhs == rhs
+                        for face, x in atomic.boundary({s: 1}, r).items():
+                            lhs = add_chains(lhs, images[r - 1][atomic.index[r - 1][face]], x)
+                        assert lhs == relative.boundary(images[r][j], r)
 
 
 def test_chain_map_image_outside_target_raises():
@@ -183,14 +191,18 @@ def test_gk_level():
 
 
 def test_verify_fk_iso_all_levels():
-    for arr, _ in C_FIXTURES:
-        poset = build_poset(arr)
-        for k in range(arr.n + 1):
-            report = verify_fk_iso(poset, k)
-            assert report.passed, (arr.names, k, report.detail)
+    # f_k needs no c, so it cross-checks every fixture's levels over Z,
+    # the ones that are no c-arrangement included
+    paths = sorted(FIXTURES.glob("*.json"))
+    assert len(paths) >= 10
+    for path in paths:
+        dec = decompose(build_poset(parse_arrangement(path.read_text())))
+        for k in range(dec.n + 1):
+            report = verify_fk_iso(dec, k)
+            assert report.passed, (path.stem, k, report.detail)
 
 
-def test_verify_fk_iso_reports_torsion_unsupported(monkeypatch):
+def test_verify_fk_iso_reports_torsion_unsupported():
     # C_0 = Z, C_1 = Z^2, C_2 = Z with d1 = (1 0) and d2 = (0 2)^T: H_0 = 0,
     # H_1 = Z/2; the identity map between two copies is a chain map
     def torsion_complex():
@@ -201,22 +213,18 @@ def test_verify_fk_iso_reports_torsion_unsupported(monkeypatch):
     assert homology(torsion_complex()).degree(1).torsion == [2]
     cx = torsion_complex()
     identity = [[{s: 1} for s in basis] for basis in cx.bases]
-    data = ChainMapData(cx, torsion_complex(), identity)
-    monkeypatch.setattr(presentation, "fk_chain_map", lambda poset, k: data)
-    report = verify_fk_iso(build_poset(points_cp1(2)), 0)
+    report = _induced_iso(cx, homology(torsion_complex()), identity)
     assert (report.passed, report.detail) == (False, "torsion comparison in degree 1 unsupported")
 
 
 @pytest.mark.parametrize("factor, passed", [(2, False), (-1, True)])
-def test_verify_fk_iso_decides_unimodularity_by_invariant_factors(monkeypatch, factor, passed):
+def test_verify_fk_iso_decides_unimodularity_by_invariant_factors(factor, passed):
     # C_0 = Z in both complexes: the chain map is multiplication by factor
     # on H_0 = Z, an isomorphism only for a unit
     def point():
         return ChainComplex([[(0,)]], [[{}]])
 
-    data = ChainMapData(point(), point(), [[{(0,): factor}]])
-    monkeypatch.setattr(presentation, "fk_chain_map", lambda poset, k: data)
-    report = verify_fk_iso(build_poset(points_cp1(2)), 0)
+    report = _induced_iso(point(), homology(point()), [[{(0,): factor}]])
     detail = "" if passed else "induced map not unimodular in degree 0"
     assert (report.passed, report.detail) == (passed, detail)
 
@@ -226,7 +234,7 @@ def test_verify_fk_iso_reports_an_image_with_a_dropped_term(monkeypatch):
     original = presentation.fk_chain
     planted = 0
     for arr, _ in C_FIXTURES:
-        poset = build_poset(arr)
+        dec = decompose(build_poset(arr))
         for k in range(arr.n + 1):
             dropped = []
 
@@ -238,7 +246,7 @@ def test_verify_fk_iso_reports_an_image_with_a_dropped_term(monkeypatch):
                 return chain
 
             monkeypatch.setattr(presentation, "fk_chain", fk_chain)
-            report = verify_fk_iso(poset, k)
+            report = verify_fk_iso(dec, k)
             if dropped:
                 assert (report.passed, report.detail) == (
                     False, "comparison map does not commute with boundaries"
@@ -251,7 +259,7 @@ def test_verify_fg_homotopic_reports_a_flipped_gk_image(monkeypatch):
     original = presentation.gk_chain
     planted = 0
     for arr, c in C_FIXTURES:
-        poset = build_poset(arr)
+        dec = decompose(build_poset(arr))
         for k in range(arr.n + 1):
             flipped = []
 
@@ -263,7 +271,7 @@ def test_verify_fg_homotopic_reports_a_flipped_gk_image(monkeypatch):
                 return chain
 
             monkeypatch.setattr(presentation, "gk_chain", gk_chain)
-            report = verify_fg_homotopic(poset, c, 0, k)
+            report = verify_fg_homotopic(dec, c, 0, k)
             if flipped:
                 assert not report.passed, (arr.names, k)
                 assert report.detail.startswith("homotopy identity fails in degree"), report.detail
@@ -273,10 +281,17 @@ def test_verify_fg_homotopic_reports_a_flipped_gk_image(monkeypatch):
 
 def test_verify_fg_homotopic_all_levels():
     for arr, c in C_FIXTURES:
-        poset = build_poset(arr)
+        dec = decompose(build_poset(arr))
         for k in range(arr.n + 1):
-            report = verify_fg_homotopic(poset, c, 0, k)
+            report = verify_fg_homotopic(dec, c, 0, k)
             assert report.passed, (arr.names, k, report.detail)
+
+
+def test_verify_fg_homotopic_requires_c_arrangement():
+    dec = decompose(build_poset(mixed()))
+    for c in (1, 2):
+        with pytest.raises(NotCArrangement, match=f"^not a {c}-arrangement$"):
+            verify_fg_homotopic(dec, c, 0, 0)
 
 
 def test_atomic_homology_matches_engine_ranks():
@@ -284,11 +299,11 @@ def test_atomic_homology_matches_engine_ranks():
     # groups as the order-complex pair
     arr = skew_lines(3)
     poset = build_poset(arr)
+    dec = decompose(poset)
     for k in range(arr.n + 1):
-        data = fk_chain_map(poset, k)
-        h_at = homology(data.atomic)
-        h_rel = homology(data.relative)
-        top = max(data.atomic.top_degree, data.relative.top_degree)
+        atomic, h_rel = atomic_complex(poset, k), dec.summaries[k]
+        h_at = homology(atomic)
+        top = max(atomic.top_degree, h_rel.complex.top_degree)
         for r in range(top + 1):
             assert h_at.degree(r).free_rank == h_rel.degree(r).free_rank
 

@@ -19,7 +19,6 @@ from projarr import (
     build_poset,
     decompose,
     parse_arrangement,
-    poincare_polynomial,
     ring_table,
     verify_ring_axioms,
 )
@@ -53,7 +52,7 @@ EXPECTED_POINCARE = {
 
 def test_poincare_polynomials():
     for name, (arr, expected) in EXPECTED_POINCARE.items():
-        assert poincare_polynomial(decompose(build_poset(arr))) == expected, name
+        assert ring_of(arr).poincare == expected, name
 
 
 def test_no_torsion_on_fixtures():
@@ -450,7 +449,8 @@ def test_betti_numbers_and_ring_at_hundreds_of_cells(arr):
     # 750 cells over all levels: the sizes where a dense kernel was slow
     dec = decompose(build_poset(arr))
     assert sum(len(b) for s in dec.summaries for b in s.complex.bases) == 750
-    report = compare(dec)
+    table = ring_table(dec)
+    report = compare(table)
     assert report.os_oracle is not None
     assert report.passed, report.failures
-    assert verify_ring_axioms(ring_table(dec)).passed
+    assert verify_ring_axioms(table).passed

@@ -46,6 +46,14 @@ def test_package_imports_only_the_standard_library():
     assert found == []
 
 
+def test_export_list_resolves_sorted_and_without_duplicates():
+    # a deleted function cannot stay behind as a dangling export
+    names = projarr.__all__
+    assert [name for name in names if not hasattr(projarr, name)] == []
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
+
+
 def test_only_input_and_subspace_modules_import_fractions():
     # subspace bases are integer rows; rationals are formed only when
     # parsing input (arrangement.py) and in the rational view (linalg.py)
