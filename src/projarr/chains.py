@@ -10,7 +10,7 @@ representative cycles and an exact coordinatizer per degree.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, partial
 from itertools import combinations
 
 from .linalg import snf
@@ -80,9 +80,8 @@ def complex_from_faces(bases: list[list[tuple]], faces) -> ChainComplex:
     """The complex on bases whose boundary follows the face rule, a
     simplex -> [(face, coeff)] function: the columns of each ∂_r, with
     cancelled entries dropped."""
-    boundaries = [[{} for _ in bases[0]]]
-    for prev, cur in zip(bases, bases[1:]):
-        idx = {s: i for i, s in enumerate(prev)}
+    cx = ChainComplex(bases, [[{} for _ in bases[0]]])
+    for idx, cur in zip(cx.index, bases[1:]):
         cols = []
         for s in cur:
             col: Column = {}
@@ -92,8 +91,8 @@ def complex_from_faces(bases: list[list[tuple]], faces) -> ChainComplex:
             if 0 in col.values():
                 col = {i: x for i, x in col.items() if x}
             cols.append(col)
-        boundaries.append(cols)
-    return ChainComplex(bases, boundaries)
+        cx.boundaries.append(cols)
+    return cx
 
 
 @dataclass
@@ -299,61 +298,34 @@ def homology(cx: ChainComplex) -> HomologySummary:
 # complexes attached to an intersection poset
 
 
+def _faces(first: int, s: tuple) -> list:
+    """The faces of s dropping one vertex from position first up to the
+    last but one, with their signs; a face dropping V is never a cell."""
+    return [(s[:i] + s[i + 1:], (-1) ** i) for i in range(first, len(s) - 1)]
+
+
 def build_relative_complex(poset: IntersectionPoset, k: int) -> ChainComplex:
     """Relative chains of (ΔQ_[k,n], ΔQ_[k,n)): basis = chains ending at V
-    with every vertex of d >= k; the face dropping V is omitted."""
+    with every vertex of d >= k; the face dropping V is omitted.  A chain's
+    first vertex is its lowest, so these are the chains to V from each
+    start of d >= k, a prefix of the elements, concatenated in start order."""
     if not 0 <= k <= poset.n:
         raise ValueError("level k out of range")
-    ids = [i for i in range(len(poset.elements)) if poset.d[i] >= k]
-    top = poset.top
-    by_degree: list[list[tuple]] = [[(top,)]]
-    frontier = [(top,)]
-    while frontier:
-        new = []
-        for chain in frontier:
-            first = chain[0]
-            for w in ids:
-                if w != first and poset.leq[w][first]:
-                    new.append((w,) + chain)
-        if new:
-            by_degree.append(sorted(new))
-        frontier = new
-
-    def faces(s):
-        q = len(s) - 1
-        return [(s[:i] + s[i + 1:], (-1) ** i) for i in range(q)]
-
-    return complex_from_faces(by_degree, faces)
+    bases: list[list[tuple]] = []
+    for u in range(len(poset.elements)):
+        if poset.d[u] < k:
+            break
+        for r, chains in enumerate(poset.chains_to_top(u)):
+            if r == len(bases):
+                bases.append([])
+            bases[r].extend(chains)
+    return complex_from_faces(bases, partial(_faces, 0))
 
 
 def build_local_complex(poset: IntersectionPoset, u: int) -> ChainComplex:
     """Relative chains of (Δ[u,V], Δ[u,V) ∪ Δ(u,V]): basis = chains from
     u to V containing both endpoints; faces dropping an endpoint are omitted."""
-    top = poset.top
-    ids = [i for i in range(len(poset.elements)) if poset.leq[u][i]]
-    if u == top:
-        return ChainComplex([[(top,)]], [[{}]])
-    by_degree: list[list[tuple]] = [[], [(u, top)]]
-    frontier = by_degree[1]
-    while frontier:
-        new = set()
-        for chain in frontier:
-            for w in ids:
-                if w in chain:
-                    continue
-                # insert w strictly between consecutive vertices
-                for pos in range(len(chain) - 1):
-                    lo, hi = chain[pos], chain[pos + 1]
-                    if poset.leq[lo][w] and poset.leq[w][hi] and w != lo and w != hi:
-                        new.add(chain[: pos + 1] + (w,) + chain[pos + 1:])
-        frontier = sorted(new)
-        if frontier:
-            by_degree.append(frontier)
-
-    def faces(s):
-        return [(s[:i] + s[i + 1:], (-1) ** i) for i in range(1, len(s) - 1)]
-
-    return complex_from_faces(by_degree, faces)
+    return complex_from_faces(poset.chains_to_top(u), partial(_faces, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -229,6 +229,7 @@ def cmd_presentation(arr, args):
         raise InputError(f"--max-degree {args.max_degree} must be at least 0")
     poset = build_poset(arr)
     pres = build_presentation(poset, args.c, args.base)
+    pres.check_max_degree(poset.n, args.max_degree)  # refused before any homology
     report = verify_presentation(pi_context(ring_table(decompose(poset)), pres), args.max_degree)
     doc = {
         "c": pres.c,

@@ -35,6 +35,7 @@ class IntersectionPoset:
 
     def __post_init__(self):
         self._index = {s: i for i, s in enumerate(self.elements)}
+        self._chains: dict[int, list[list[tuple]]] = {}
 
     @property
     def n(self) -> int:
@@ -50,6 +51,24 @@ class IntersectionPoset:
             return self._index[s]
         except KeyError:
             raise ValueError("subspace is not an element of the poset") from None
+
+    def chains_to_top(self, u: int) -> list[list[tuple]]:
+        """The chains u = w_0 < … < w_r = V, listed by r and sorted, made
+        once per u: u put in front of the chains of each element above
+        u.  Those elements have a larger dimension, so they come before u
+        and their chains come sorted.  The lists are kept and shared with
+        the complexes built on them: read them, never change them."""
+        chains = self._chains.get(u)
+        if chains is None:
+            chains = [[(u,)]] if u == self.top else [[]]
+            for w in range(u):
+                if self.leq[u][w]:
+                    for r, above in enumerate(self.chains_to_top(w), 1):
+                        if r == len(chains):
+                            chains.append([])
+                        chains[r].extend((u,) + c for c in above)
+            self._chains[u] = chains
+        return chains
 
     def covers(self) -> list[tuple[int, int]]:
         """Pairs (i, j) with elements[i] < elements[j] a cover relation."""

@@ -90,6 +90,17 @@ class Presentation:
                 out.append((s, ys))
         return sorted(out)
 
+    def check_max_degree(self, n: int, max_degree: int | None) -> int:
+        """The last degree to check: max_degree, 2n by default.  Above
+        L = max(2n, 2(c - 1) + (2c - 1)t) neither the ring nor R/(x^c)
+        has anything, so a max_degree above L is a ValueError."""
+        if max_degree is None:
+            return 2 * n
+        top = max(2 * n, 2 * (self.c - 1) + (2 * self.c - 1) * self.t)
+        if max_degree > top:
+            raise ValueError(f"max degree {max_degree} is above {top}, past which every rank is 0")
+        return max_degree
+
 
 def build_presentation(poset: IntersectionPoset, c: int, base_index: int = 0) -> Presentation:
     if not is_c_arrangement(poset, c):
@@ -379,15 +390,8 @@ def verify_presentation(ctx: PiContext, max_degree: int | None = None) -> Presen
     """Thm-level verification: π kills every relation, and per degree the
     rational rank of the π-image of the monomial span equals both the
     R/I rank and the engine's free rank, in degrees 0..max_degree (default
-    2n).  Above L = max(2n, 2(c - 1) + (2c - 1)t) neither the ring nor
-    R/(x^c) has anything, so a max_degree above L is a ValueError."""
-    n = ctx.table.n
-    p = ctx.presentation
-    top = max(2 * n, 2 * (p.c - 1) + (2 * p.c - 1) * p.t)
-    if max_degree is None:
-        max_degree = 2 * n
-    elif max_degree > top:
-        raise ValueError(f"max degree {max_degree} is above {top}, past which every rank is 0")
+    2n); a max_degree above L is a ValueError (`Presentation.check_max_degree`)."""
+    max_degree = ctx.presentation.check_max_degree(ctx.table.n, max_degree)
     for rel in ctx.presentation.relations:
         if pi_polynomial(ctx, rel):
             return PresentationReport(False, [], False, "relation not in the kernel")

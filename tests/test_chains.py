@@ -4,6 +4,7 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
 from arrangements import (
     C_FIXTURES,
@@ -32,7 +33,9 @@ from projarr.linalg import snf
 from projarr.poset import build_poset
 from projarr.presentation import atomic_complex
 from projarr.ring import Decomposition, decompose, ring_table
+from strategies import small_arrangements
 
+FIXTURE_DIR = pathlib.Path(__file__).parent.parent / "fixtures"
 FIXTURES = [
     empty(2),
     points_cp1(3),
@@ -91,6 +94,109 @@ def test_boundary_squares_to_zero_everywhere():
                 assert cx.boundary(cx.boundary({s: 1}, r), r - 1) == {}
                 checked += 1
     assert checked > 150
+
+
+def _reference_boundaries(bases, faces):
+    """The columns of every ∂_r from the face rule, as complex_from_faces
+    built them before it read the complex's own cell index."""
+    boundaries = [[{} for _ in bases[0]]]
+    for prev, cur in zip(bases, bases[1:]):
+        idx = {s: i for i, s in enumerate(prev)}
+        cols = []
+        for s in cur:
+            col = {}
+            for face, coeff in faces(s):
+                col[idx[face]] = col.get(idx[face], 0) + coeff
+            cols.append({i: x for i, x in col.items() if x})
+        boundaries.append(cols)
+    return bases, boundaries
+
+
+def _reference_relative_complex(poset, k):
+    """(bases, boundaries) of the level-k relative complex as the builder
+    made them before one enumeration of chains to V served both builders:
+    each chain extended at its front by every element of d >= k below it,
+    each degree sorted."""
+    ids = [i for i in range(len(poset.elements)) if poset.d[i] >= k]
+    top = poset.top
+    by_degree = [[(top,)]]
+    frontier = [(top,)]
+    while frontier:
+        new = []
+        for chain in frontier:
+            first = chain[0]
+            for w in ids:
+                if w != first and poset.leq[w][first]:
+                    new.append((w,) + chain)
+        if new:
+            by_degree.append(sorted(new))
+        frontier = new
+    return _reference_boundaries(by_degree, lambda s: [(s[:i] + s[i + 1:], (-1) ** i) for i in range(len(s) - 1)])
+
+
+def _reference_local_complex(poset, u):
+    """(bases, boundaries) of the local complex at u as its builder made
+    them before: elements of [u, V] inserted between consecutive vertices
+    of the chains of the last degree, with duplicates merged, and V alone
+    as a literal."""
+    top = poset.top
+    if u == top:
+        return [[(top,)]], [[{}]]
+    ids = [i for i in range(len(poset.elements)) if poset.leq[u][i]]
+    by_degree = [[], [(u, top)]]
+    frontier = by_degree[1]
+    while frontier:
+        new = set()
+        for chain in frontier:
+            for w in ids:
+                if w in chain:
+                    continue
+                for pos in range(len(chain) - 1):
+                    lo, hi = chain[pos], chain[pos + 1]
+                    if poset.leq[lo][w] and poset.leq[w][hi] and w != lo and w != hi:
+                        new.add(chain[: pos + 1] + (w,) + chain[pos + 1:])
+        frontier = sorted(new)
+        if frontier:
+            by_degree.append(frontier)
+    return _reference_boundaries(by_degree, lambda s: [(s[:i] + s[i + 1:], (-1) ** i) for i in range(1, len(s) - 1)])
+
+
+def _assert_complexes_match_the_references(arr):
+    poset = build_poset(arr)
+    for k in range(arr.n + 1):
+        cx = build_relative_complex(poset, k)
+        assert (cx.bases, cx.boundaries) == _reference_relative_complex(poset, k), k
+    for u in range(len(poset.elements)):
+        cx = build_local_complex(poset, u)
+        assert (cx.bases, cx.boundaries) == _reference_local_complex(poset, u), u
+
+
+BUILDER_CASES = [
+    *((path.stem, parse_arrangement(path.read_text())) for path in sorted(FIXTURE_DIR.glob("*.json"))),
+    *((f"FIXTURES[{i}]", arr) for i, arr in enumerate(FIXTURES)),
+    ("boolean(4)", boolean(4)),
+    ("generic_hyperplanes(3,6)", generic_hyperplanes(3, 6)),
+    ("generic_hyperplanes(4,5)", generic_hyperplanes(4, 5)),
+]
+
+
+@pytest.mark.parametrize("arr", [arr for _, arr in BUILDER_CASES], ids=[name for name, _ in BUILDER_CASES])
+def test_complexes_match_the_reference_builders(arr):
+    # every level k and every start u, the zero element (d = -1) and V
+    # included: the same bases in the same order and the same columns
+    _assert_complexes_match_the_references(arr)
+
+
+@settings(
+    max_examples=80,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(small_arrangements())
+def test_complexes_match_the_reference_builders_on_random_arrangements(arr):
+    # the posets of tests/test_poset.py, some with one member inside another
+    _assert_complexes_match_the_references(arr)
 
 
 def test_relative_complex_basis_shape():
@@ -216,8 +322,7 @@ def test_class_of_boundary_is_zero_on_random_chains():
 def coordinatizer_cases():
     """Every relative complex of every level, and every local complex, of
     the fixtures and the shared families, plus the Z + Z/3 complex."""
-    fixture_dir = pathlib.Path(__file__).parent.parent / "fixtures"
-    arrangements = [parse_arrangement(p.read_text()) for p in sorted(fixture_dir.glob("*.json"))]
+    arrangements = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
     arrangements += FIXTURES + [boolean(3), generic_hyperplanes(2, 4)]
     for arr in arrangements:
         poset = build_poset(arr)
@@ -421,7 +526,7 @@ def test_transforms_are_carried_only_in_degrees_with_homology(monkeypatch):
     # boolean_cp3's level-0 complex has cells [1, 14, 36, 24] and H only
     # in its top degree, which has no image to present: one SNF with
     # transforms where today's reference took five
-    fixture = pathlib.Path(__file__).parent.parent / "fixtures" / "boolean_cp3.json"
+    fixture = FIXTURE_DIR / "boolean_cp3.json"
     cx = build_relative_complex(build_poset(parse_arrangement(fixture.read_text())), 0)
     summary, calls = _snf_calls(monkeypatch, cx)
     assert [len(dh.generators) for dh in summary.degrees] == [0, 0, 0, 1]
@@ -472,8 +577,7 @@ def _reference_meet_product(poset, c, d):
 
 def product_arrangements():
     """Every fixture file, boolean(3) and four generic lines in CP^2."""
-    fixture_dir = pathlib.Path(__file__).parent.parent / "fixtures"
-    arrangements = [parse_arrangement(p.read_text()) for p in sorted(fixture_dir.glob("*.json"))]
+    arrangements = [parse_arrangement(p.read_text()) for p in sorted(FIXTURE_DIR.glob("*.json"))]
     return arrangements + [boolean(3), generic_hyperplanes(2, 4)]
 
 

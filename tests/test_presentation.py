@@ -349,3 +349,14 @@ def test_verify_presentation_all_fixtures():
 def test_verify_presentation_nonzero_base():
     report = verify_presentation(context(points_cp1(3), 1, base_index=1))
     assert report.passed
+
+
+def test_verify_presentation_refuses_a_max_degree_above_the_top():
+    # points_cp1(3) with c = 1: n = 1, t = 2, so L = max(2, 2) = 2; the
+    # check the CLI makes before homology is the one the library makes
+    ctx = context(points_cp1(3), 1)
+    assert ctx.presentation.check_max_degree(1, None) == 2
+    assert ctx.presentation.check_max_degree(1, 2) == 2
+    assert [row[0] for row in verify_presentation(ctx, 2).degrees] == [0, 1, 2]
+    with pytest.raises(ValueError, match="^max degree 3 is above 2, past which every rank is 0$"):
+        verify_presentation(ctx, 3)

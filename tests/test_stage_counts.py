@@ -4,7 +4,9 @@ homology) per nonzero, homology asks Smith normal form only for the
 transforms it reads, subspaces are intersected in the first one's
 coordinates, the closure reduces once per
 element it cuts, and the ring table enters no public chain function and
-reads classes once per live block of basis pairs.
+reads classes once per live block of basis pairs.  The chains to V from
+each start are enumerated once per command, and one traced pass of each
+benchmark workload stays within its span budget.
 
 Calls are counted by code object through `sys.setprofile`, so a stage
 reached through an alias (`from .poset import build_poset`) or a wrapper
@@ -18,11 +20,11 @@ import sys
 
 import pytest
 
-from projarr import chains, linalg, ring
+from projarr import chains, cli, linalg, ring
 from projarr.arrangement import intersection_closure, parse_arrangement
 from projarr.cli import main
 from projarr.linalg import Subspace, rref, subspace_intersection
-from projarr.poset import build_poset
+from projarr.poset import IntersectionPoset, build_poset
 from projarr.ring import decompose
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -80,6 +82,15 @@ def test_non_c_arrangement_rejected_before_homology(capsys):
     code, counts = stage_counts(["presentation", "--c", "2", os.path.join(FIXTURES, "boolean_cp2.json")])
     assert code == 2
     assert counts == (1, 1, 0)
+
+
+def test_max_degree_above_the_top_rejected_before_homology(capsys):
+    # L = max(2n, 2(c - 1) + (2c - 1)t) is 4 for boolean_cp2 with c = 1
+    argv = ["presentation", "--c", "1", "--max-degree", "1000", os.path.join(FIXTURES, "boolean_cp2.json")]
+    code, counts = stage_counts(argv)
+    assert code == 2
+    assert counts == (1, 1, 0)
+    assert capsys.readouterr().err == "error: max degree 1000 is above 4, past which every rank is 0\n"
 
 
 HOMOLOGY_FLAGS = [["ring"], ["ring", "--affine", "0"], ["presentation", "--c", "1"], ["presentation", "--c", "2"]]
@@ -233,19 +244,26 @@ def closure_work(arr):
     return result, reductions, meets
 
 
+def _perfbench(name):
+    """A module of perfbench/, loaded by path; it imports nothing of projarr."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", name + ".py")
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module
+
+
+generators, spans = _perfbench("generators"), _perfbench("spans")
+
+
 def _closure_cases():
     """Every fixture, and the first ten-line arrangement of the benchmark's
-    line-affine workload at two seeds (perfbench/generators.py, loaded by
-    path, imports nothing of projarr)."""
+    line-affine workload at two seeds."""
     cases = []
     for name in sorted(os.listdir(FIXTURES)):
         with open(os.path.join(FIXTURES, name)) as fh:
             cases.append((name[:-5], parse_arrangement(fh.read())))
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "generators.py")
-    spec = importlib.util.spec_from_file_location("perfbench_generators", path)
-    generators = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = generators  # dataclasses look their module up here
-    spec.loader.exec_module(generators)
     for seed in (3, 11):
         job = generators.jobs_for("line-affine", seed)[0]
         cases.append((f"{job.name} seed {seed}", parse_arrangement(generators.input_bytes(job).decode())))
@@ -344,3 +362,81 @@ def test_the_table_reads_classes_once_per_live_block(capsys, flags, name):
     assert 0 < reads <= blocks <= pairs
     if flags == ["ring"]:
         assert blocks < pairs
+
+
+def public_functions():
+    """Code object -> name of every public module function of projarr, the
+    functions the benchmark's tracer wraps."""
+    return {
+        f.__code__: f"{module.__name__}.{name}"
+        for module in (importlib.import_module(f"projarr.{m}") for m in spans.MODULES)
+        for name, f in vars(module).items()
+        if inspect.isfunction(f) and f.__module__ == module.__name__ and not name.startswith("_")
+    }
+
+
+def complex_assembly(argv):
+    """Exit code, the public functions entered while a complex is assembled
+    (by name), and per (poset, start) the chain lists `chains_to_top`
+    returned for it."""
+    public = public_functions()
+    builders = {chains.build_relative_complex.__code__, chains.build_local_complex.__code__}
+    enumerate_chains = IntersectionPoset.chains_to_top.__code__
+    entered, returned, posets = [], {}, []
+
+    def in_assembly(frame):
+        while frame is not None and frame.f_code not in builders:
+            frame = frame.f_back
+        return frame is not None
+
+    def profile(frame, event, arg):
+        if event == "return" and frame.f_code is enumerate_chains:
+            poset = frame.f_locals["self"]
+            posets.append(poset)  # kept alive, so that no id is reused
+            returned.setdefault((id(poset), frame.f_locals["u"]), []).append(arg)
+        elif event == "call" and frame.f_code in public and in_assembly(frame.f_back):
+            entered.append(public[frame.f_code])
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        code = main(argv)
+    finally:
+        sys.setprofile(previous)
+    return code, entered, returned
+
+
+@pytest.mark.parametrize("name", ["boolean_cp3", "generic4_cp2", "points5_cp1"])
+@pytest.mark.parametrize(
+    "flags", [["ring"], ["homology"], ["ring", "--affine", "0"], ["presentation", "--c", "1"]], ids=" ".join
+)
+def test_each_start_s_chains_are_enumerated_once(capsys, flags, name):
+    # every relative and local complex is read off one enumeration of the
+    # chains to V per start element, which stays out of the tracer's reach
+    # (no public module function), and assembly enters only the builders
+    # and complex_from_faces
+    code, entered, returned = complex_assembly(flags + [os.path.join(FIXTURES, name + ".json")])
+    assert code == 0
+    assert set(entered) == {"projarr.chains.complex_from_faces"}
+    assert len({poset for poset, _ in returned}) == 1
+    assert all(len({id(chains) for chains in lists}) == 1 for lists in returned.values())
+    if "--affine" not in flags:
+        # the levels read every start of d >= 0
+        assert {u for _, u in returned} == set(range(max(u for _, u in returned) + 1))
+
+
+@pytest.mark.parametrize("workload, budget", [("hyperplane-ring", 145), ("subspace-verify", 725), ("line-affine", 588)])
+def test_a_traced_pass_stays_within_its_span_budget(capsys, tmp_path, workload, budget):
+    # the benchmark's traced run analyses passes² × spans per pass, so an
+    # added span per call lengthens it: one pass of the workload's jobs at
+    # seed 11 under its tracer, which wraps every public function
+    jobs = generators.jobs_for(workload, 11)
+    paths = generators.write_inputs(jobs, tmp_path)
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        codes = [cli.main(job.argv(paths[job.filename])) for job in jobs]
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(jobs)
+    assert len(tracer.start) <= budget
