@@ -37,6 +37,7 @@ from .presentation import (
 from .ring import (
     affine_decompose,
     decompose,
+    projective_ring,
     ring_table,
     verify_ring_axioms,
 )
@@ -64,6 +65,7 @@ __all__ = [
     "pi_context",
     "pi_image",
     "projective_quotient",
+    "projective_ring",
     "ring_table",
     "rref",
     "snf",

@@ -1,5 +1,7 @@
-"""Relative chain complexes of poset order complexes and their integral
-homology, plus the chain-level meet product.
+"""Relative chain complexes of poset order complexes, the atomic
+complexes of member subsets, their integral homology, and the
+chain-level products: the meet product of chains of the poset and the
+exterior product of member subsets.
 
 Simplices are tuples of vertex ids (strictly increasing in the poset
 order); chains are sparse dicts simplex -> integer coefficient.  All
@@ -328,6 +330,87 @@ def build_local_complex(poset: IntersectionPoset, u: int) -> ChainComplex:
     return complex_from_faces(poset.chains_to_top(u), partial(_faces, 1))
 
 
+def _relative_cells(poset: IntersectionPoset) -> int:
+    """The cells of the relative complexes of all levels, Σ_u (d(u)+1)·N(u),
+    in O(|Q|²): N(u) chains run from u to V, with N(V) = 1 and N(u) the
+    sum of N(w) over the w above u, which come before u.  A chain from u
+    is a cell of the d(u) + 1 levels k <= d(u)."""
+    leq = poset.leq
+    counts = [1]
+    for u in range(1, len(poset.elements)):
+        counts.append(sum(counts[w] for w in range(u) if leq[u][w]))
+    return sum((d + 1) * c for d, c in zip(poset.d, counts))
+
+
+# ---------------------------------------------------------------------------
+# atomic complexes of member subsets
+
+
+def _member_subsets(poset: IntersectionPoset, limit: float = float("inf")) -> list | None:
+    """The member subsets I with d(∩I) >= 0, with ∩I, listed by size and
+    sorted: each I of size s + 1 is a sorted I' of size s extended by a
+    later member, carrying the running meet, since the subsets of such an
+    I are such sets too.  None as soon as the cells they give all
+    levels, Σ_I (d(∩I) + 1), exceed limit."""
+    members = [poset.index_of(s) for s in poset.arr.subspaces]
+    d, meet = poset.d, poset.meet
+    cells, sizes, grown = poset.n + 1, [], [((), poset.top)]
+    while grown:
+        if cells > limit:
+            return None
+        sizes.append(grown)
+        grown = []
+        for s, q in sizes[-1]:
+            for i in range(s[-1] + 1 if s else 0, len(members)):
+                w = meet[q][members[i]]
+                if d[w] >= 0:
+                    grown.append((s + (i,), w))
+                    cells += d[w] + 1
+                    if cells > limit:
+                        return None
+    return sizes
+
+
+def _subset_faces(s: tuple) -> list:
+    return [(s[:j] + s[j + 1:], (-1) ** j) for j in range(len(s))]
+
+
+def _atomic_level(poset: IntersectionPoset, subsets: list, k: int) -> ChainComplex:
+    """D^k read off the listed member subsets: those with d(∩I) >= k.
+    They are closed under subsets too, so a size with none ends them."""
+    bases = []
+    for size in subsets:
+        cells = [s for s, q in size if poset.d[q] >= k]
+        if not cells:
+            break
+        bases.append(cells)
+    return complex_from_faces(bases, _subset_faces)
+
+
+def atomic_complex(poset: IntersectionPoset, k: int) -> ChainComplex:
+    """The shifted reduced chain complex D^k of the atomic complex S_k:
+    degree r holds the r-subsets I of the members with d(∩I) >= k,
+    sorted, degree 0 the empty simplex."""
+    if not 0 <= k <= poset.n:
+        raise ValueError("level k out of range")
+    return _atomic_level(poset, _member_subsets(poset), k)
+
+
+def _exterior(c: IntChain, d: IntChain) -> IntChain:
+    """The exterior product of chains of member subsets: I·J is 0 when I
+    and J share a member, else ±(I ∪ J), with the sign of the permutation
+    that sorts I followed by J."""
+    out: IntChain = {}
+    for s, a in c.items():
+        members = set(s)
+        for t, b in d.items():
+            if members.isdisjoint(t):
+                union = tuple(sorted(s + t))
+                inversions = sum(1 for i in s for j in t if i > j)
+                out[union] = out.get(union, 0) + (-a * b if inversions % 2 else a * b)
+    return {s: x for s, x in out.items() if x}
+
+
 # ---------------------------------------------------------------------------
 # the meet product
 
@@ -416,10 +499,3 @@ def _meet_at_level(
             raise RuntimeError(f"semimodular bound violated: {s} has a vertex below level {floor}")
     return result
 
-
-def meet_product(poset: IntersectionPoset, k: int, l: int, c: IntChain, d: IntChain) -> IntChain:
-    """The chain-level product landing in the level-(k+l-n) relative complex."""
-    n = poset.n
-    if k + l < n:
-        raise ValueError("meet_product requires k + l >= n")
-    return _meet_at_level(poset, k + l - n, c, d)

@@ -25,7 +25,7 @@ from .oracles import (
 )
 from .poset import build_poset, verify_eta
 from .presentation import build_presentation, pi_context, verify_presentation
-from .ring import affine_decompose, decompose, ring_table, verify_ring_axioms
+from .ring import affine_decompose, decompose, projective_ring, ring_table, verify_ring_axioms
 
 
 def _read_input(path: str | None) -> str:
@@ -199,7 +199,7 @@ def cmd_ring(arr, args):
         table = affine_decompose(build_poset(arr), args.affine)
         keys = ("u", "m")
     else:
-        table = ring_table(decompose(build_poset(arr)))
+        table = projective_ring(build_poset(arr))
         keys = ("k", "r")
     basis_doc = []
     for i, b in enumerate(table.basis):
@@ -210,8 +210,10 @@ def cmd_ring(arr, args):
         if args.affine is None:
             row["representative"] = _chain_doc(table.representative(i))
         basis_doc.append(row)
-    doc = {
-        "n": table.n,
+    doc = {"n": table.n}
+    if args.affine is None:
+        doc["model"] = table.model
+    doc |= {
         "basis": basis_doc,
         "poincare": table.poincare,
         "torsion": [b.torsion_order for b in table.basis if b.torsion_order],

@@ -21,7 +21,7 @@ from .chains import (
     _meet_shuffle,
     _sum_columns,
     add_chains,
-    complex_from_faces,
+    atomic_complex,
     homology,
 )
 from .linalg import _rank, snf
@@ -165,34 +165,7 @@ def graded_ranks(p: Presentation, max_degree: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# atomic complex and the chain maps into the relative complex
-
-
-def atomic_complex(poset: IntersectionPoset, k: int) -> ChainComplex:
-    """The shifted reduced chain complex D^k of the atomic complex S_k:
-    degree r holds the r-subsets I of the members with d(∩I) >= k,
-    degree 0 the empty simplex."""
-    if not 0 <= k <= poset.n:
-        raise ValueError("level k out of range")
-    member_ids = [poset.index_of(s) for s in poset.arr.subspaces]
-    bases: list[list[tuple]] = [[()]]
-    t = len(member_ids)
-    for size in range(1, t + 1):
-        level = []
-        for combo in combinations(range(t), size):
-            q = poset.top
-            for i in combo:
-                q = poset.meet[q][member_ids[i]]
-            if poset.d[q] >= k:
-                level.append(combo)
-        if not level:
-            break
-        bases.append(sorted(level))
-
-    def faces(s):
-        return [(s[:j] + s[j + 1:], (-1) ** j) for j in range(len(s))]
-
-    return complex_from_faces(bases, faces)
+# the chain maps from the atomic complex into the relative complex
 
 
 def _alpha(poset: IntersectionPoset, member: int) -> IntChain:

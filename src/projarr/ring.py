@@ -1,8 +1,9 @@
 """The graded integral cohomology ring of a projective arrangement
 complement, assembled from the level decomposition and the chain-level
-meet product, plus the affine reduction.
+meet product or from the atomic complexes and the exterior product,
+plus the affine reduction.
 
-Both modes build one `RingTable`: a graded direct sum of homology
+Every mode builds one `RingTable`: a graded direct sum of homology
 summands, a basis of their generators, and a product coordinatized back
 into one summand.  Projective mode has one summand per level k, and a
 class at level k and simplicial degree r sits in cohomological degree
@@ -18,8 +19,12 @@ from functools import partial
 from .chains import (
     HomologySummary,
     IntChain,
+    _atomic_level,
+    _exterior,
     _meet_at_level,
     _meet_shuffle,
+    _member_subsets,
+    _relative_cells,
     build_local_complex,
     build_relative_complex,
     homology,
@@ -62,6 +67,9 @@ class RingTable:
     products: dict[tuple[int, int], RingElement]  # (i, j) -> entry, its keys increasing
     poincare: list[int]
     ids: dict[tuple[int, int], list[int]]  # (summand, r) -> basis ids by generator index
+    # the simplices of the summands: chains of Q to V ("relative"), member
+    # subsets ("atomic"), or chains from the summand to V ("local", affine)
+    model: str
 
     @property
     def n(self) -> int:
@@ -101,7 +109,7 @@ class RingTable:
         return {self.ids[(summand, r)][i]: c for i, c in enumerate(coords) if c}
 
 
-def _ring(poset, summaries, degree_of, order, block) -> RingTable:
+def _ring(poset, summaries, degree_of, order, block, model) -> RingTable:
     """Assemble the table of a graded sum of summaries, one block of
     basis pairs at a time.
 
@@ -131,7 +139,7 @@ def _ring(poset, summaries, degree_of, order, block) -> RingTable:
             poincare[b.degree] += 1
     indices = range(len(basis))
     products = {(i, j): {} for i in indices for j in indices}
-    table = RingTable(poset, summaries, basis, products, poincare, ids)
+    table = RingTable(poset, summaries, basis, products, poincare, ids, model)
     reps = [table.representative(i) for i in indices]
     for (a, ra), rows in ids.items():
         for (b, rb), cols in ids.items():
@@ -149,18 +157,44 @@ def _ring(poset, summaries, degree_of, order, block) -> RingTable:
     return table
 
 
-def ring_table(dec: Decomposition) -> RingTable:
-    poset, n = dec.poset, dec.n
-    memo: dict = {}  # one per table: each simplex pair is shuffled once
+def _levels(poset, summaries, product, model) -> RingTable:
+    """The table of the level summaries: the levels k and l multiply into
+    level m = k + l - n, when m >= 0, by the chain product product(m)."""
+    n = poset.n
 
     def block(k, l):
         m = k + l - n
-        return None if m < 0 else (m, partial(_meet_at_level, poset, m, memo=memo))
+        return None if m < 0 else (m, product(m))
 
     return _ring(
-        poset, dict(enumerate(dec.summaries)), lambda k, r: 2 * n - 2 * k - r,
-        lambda b: (b.degree, -b.summand, b.r, b.index), block,
+        poset, dict(enumerate(summaries)), lambda k, r: 2 * n - 2 * k - r,
+        lambda b: (b.degree, -b.summand, b.r, b.index), block, model,
     )
+
+
+def ring_table(dec: Decomposition) -> RingTable:
+    poset = dec.poset
+    memo: dict = {}  # one per table: each simplex pair is shuffled once
+    return _levels(
+        poset, dec.summaries, lambda m: partial(_meet_at_level, poset, m, memo=memo), "relative"
+    )
+
+
+def projective_ring(poset: IntersectionPoset) -> RingTable:
+    """The projective ring from the smaller of its two models, both
+    counted before either is built: the atomic complexes D^k, multiplied
+    by the exterior product of member subsets, unless they have more
+    cells than the relative complexes, else `ring_table(decompose(poset))`.
+    f_k maps D^k into level k, quasi-isomorphically, and f(I)·f(J) =
+    ±f(I ∪ J), so both give the same ring."""
+    subsets = _member_subsets(poset, _relative_cells(poset))
+    return ring_table(decompose(poset)) if subsets is None else _atomic_ring(poset, subsets)
+
+
+def _atomic_ring(poset: IntersectionPoset, subsets: list) -> RingTable:
+    """The table of the atomic complexes read off the listed subsets."""
+    summaries = [homology(_atomic_level(poset, subsets, k)) for k in range(poset.n + 1)]
+    return _levels(poset, summaries, lambda m: _exterior, "atomic")
 
 
 @dataclass
@@ -234,5 +268,5 @@ def affine_decompose(poset: IntersectionPoset, infinity_index: int) -> RingTable
 
     return _ring(
         poset, summaries, lambda u, m: 2 * n - 2 * poset.d[u] - m,
-        lambda b: (b.degree, poset.d[b.summand], b.summand, b.r, b.index), block,
+        lambda b: (b.degree, poset.d[b.summand], b.summand, b.r, b.index), block, "local",
     )

@@ -32,7 +32,7 @@ from projarr import (
     verify_presentation,
     verify_ring_axioms,
 )
-from projarr.chains import build_relative_complex, homology, meet_product
+from projarr.chains import _meet_at_level, build_relative_complex, homology
 from projarr.linalg import snf
 from projarr.poset import build_poset
 
@@ -272,10 +272,11 @@ def test_criterion_09_chain_level_algebra_and_snf():
             if levels[k].dim(p) and levels[l].dim(q):
                 a = {levels[k].bases[p][prng.randrange(levels[k].dim(p))]: prng.choice([-2, -1, 1, 2])}
                 b = {levels[l].bases[q][prng.randrange(levels[l].dim(q))]: prng.choice([-1, 1])}
-                lhs = relative_boundary(meet_product(poset, k, l, a, b))
+                m = k + l - arr.n
+                lhs = relative_boundary(_meet_at_level(poset, m, a, b))
                 rhs = add(
-                    meet_product(poset, k, l, relative_boundary(a), b),
-                    meet_product(poset, k, l, a, relative_boundary(b)),
+                    _meet_at_level(poset, m, relative_boundary(a), b),
+                    _meet_at_level(poset, m, a, relative_boundary(b)),
                     (-1) ** p,
                 )
                 if lhs != rhs:

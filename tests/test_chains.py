@@ -23,15 +23,15 @@ from projarr.chains import (
     Generator,
     NotACycle,
     add_chains,
+    atomic_complex,
     build_local_complex,
+    _meet_at_level,
     _meet_shuffle,
     build_relative_complex,
     homology,
-    meet_product,
 )
 from projarr.linalg import snf
 from projarr.poset import build_poset
-from projarr.presentation import atomic_complex
 from projarr.ring import Decomposition, decompose, ring_table
 from strategies import small_arrangements
 
@@ -279,12 +279,12 @@ def test_meet_product_checks_semimodular_bound():
     poset = build_poset(skew_lines(2))
     unit = {(poset.top,): 1}
     n = poset.n
-    assert meet_product(poset, n, n, unit, unit) == unit
+    assert _meet_at_level(poset, n, unit, unit) == unit
     d = list(poset.d)
     d[poset.top] = n - 1
     broken = dataclasses.replace(poset, d=d)
     with pytest.raises(RuntimeError, match="semimodular bound"):
-        meet_product(broken, n, n, unit, unit)
+        _meet_at_level(broken, n, unit, unit)
     # the ring table runs the same check on every projective product
     with pytest.raises(RuntimeError, match="semimodular bound"):
         ring_table(Decomposition(broken, decompose(poset).summaries))
@@ -618,7 +618,7 @@ def test_meet_kernel_matches_the_three_pass_reference():
         n = arr.n
         levels = [build_relative_complex(poset, k) for k in range(n + 1)]
         for k, l, p, q, c, d in level_pairs(rng, levels, 50):
-            assert meet_product(poset, k, l, c, d) == _reference_meet_product(poset, c, d)
+            assert _meet_at_level(poset, k + l - n, c, d) == _reference_meet_product(poset, c, d)
             products += 1
             positive += p > 0 and q > 0
         summands = [build_local_complex(poset, u) for u in range(len(poset.elements))]
@@ -647,9 +647,9 @@ def test_meet_product_of_a_point_with_a_simplex():
     poset = build_poset(arr)
     unit = {(poset.top,): 1}
     edge = {(poset.index_of(arr.subspaces[0]), poset.top): 3}
-    assert meet_product(poset, 1, 0, unit, edge) == edge
-    assert meet_product(poset, 0, 1, edge, unit) == edge
-    assert meet_product(poset, 1, 1, unit, unit) == unit
+    assert _meet_at_level(poset, 0, unit, edge) == edge
+    assert _meet_at_level(poset, 0, edge, unit) == edge
+    assert _meet_at_level(poset, 1, unit, unit) == unit
 
 
 def test_meet_product_is_a_chain_map_of_relative_chains():
@@ -661,10 +661,11 @@ def test_meet_product_is_a_chain_map_of_relative_chains():
         n = arr.n
         levels = [build_relative_complex(poset, k) for k in range(n + 1)]
         for k, l, p, q, c, d in level_pairs(rng, levels, 50):
-            lhs = relative_boundary(meet_product(poset, k, l, c, d))
+            m = k + l - n
+            lhs = relative_boundary(_meet_at_level(poset, m, c, d))
             rhs = add_chains(
-                meet_product(poset, k, l, relative_boundary(c), d),
-                meet_product(poset, k, l, c, relative_boundary(d)),
+                _meet_at_level(poset, m, relative_boundary(c), d),
+                _meet_at_level(poset, m, c, relative_boundary(d)),
                 (-1) ** p,
             )
             assert lhs == rhs

@@ -342,7 +342,7 @@ def test_ring_output_is_the_reference_document_byte_for_byte(capsys, monkeypatch
     docs, tables = [], []
     emit = cli._emit
     monkeypatch.setattr(cli, "_emit", lambda doc, fmt: docs.append(doc) or emit(doc, fmt))
-    for builder in ("ring_table", "affine_decompose"):
+    for builder in ("projective_ring", "affine_decompose"):
         build = getattr(cli, builder)
         monkeypatch.setattr(cli, builder, lambda *args, build=build: tables.append(build(*args)) or tables[-1])
     runs = ring_runs()

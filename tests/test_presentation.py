@@ -14,7 +14,7 @@ from projarr import (
     verify_fk_iso,
     verify_presentation,
 )
-from projarr.chains import ChainComplex, add_chains, homology
+from projarr.chains import ChainComplex, add_chains, atomic_complex, homology
 from projarr.poset import build_poset, set_defect
 from projarr.ring import decompose, ring_table
 from projarr import presentation
@@ -22,7 +22,6 @@ from projarr.presentation import (
     NotCArrangement,
     _chain_map_images,
     _induced_iso,
-    atomic_complex,
     fk_chain,
     gk_chain,
     gk_level,

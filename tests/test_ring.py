@@ -217,7 +217,7 @@ def test_a_block_whose_target_has_no_cells_in_the_product_degree_is_zero():
 
     table = _ring(
         dec.poset, summaries, lambda k, r: 2 * n - 2 * k - r,
-        lambda b: (b.degree, -b.summand, b.r, b.index), lambda k, l: (n, empty_product),
+        lambda b: (b.degree, -b.summand, b.r, b.index), lambda k, l: (n, empty_product), "relative",
     )
     m = len(table.basis)
     assert summaries[n].complex.top_degree == 0
@@ -272,7 +272,7 @@ def _memo_free_table(poset, affine, evaluations):
         return _ring(
             poset, summaries, lambda k, r: 2 * n - 2 * k - r,
             lambda b: (b.degree, -b.summand, b.r, b.index),
-            lambda k, l: None if k + l < n else (k + l - n, multiply_at(k + l - n)),
+            lambda k, l: None if k + l < n else (k + l - n, multiply_at(k + l - n)), "relative",
         )
     summaries = affine_decompose(poset, affine).summaries
 
@@ -284,7 +284,7 @@ def _memo_free_table(poset, affine, evaluations):
 
     return _ring(
         poset, summaries, lambda u, m: 2 * n - 2 * poset.d[u] - m,
-        lambda b: (b.degree, poset.d[b.summand], b.summand, b.r, b.index), block,
+        lambda b: (b.degree, poset.d[b.summand], b.summand, b.r, b.index), block, "local",
     )
 
 

@@ -13,13 +13,14 @@ reached through an alias (`from .poset import build_poset`) or a wrapper
 is still counted.
 """
 
-import importlib.util
+import importlib
 import inspect
 import os
 import sys
 
 import pytest
 
+from arrangements import pencil, perfbench, to_json
 from projarr import chains, cli, linalg, ring
 from projarr.arrangement import intersection_closure, parse_arrangement
 from projarr.cli import main
@@ -29,6 +30,16 @@ from projarr.ring import decompose
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
 STAGES = (build_poset, intersection_closure, decompose)
+PENCIL = "pencil12_cp2"  # where `ring` falls back to the relative model
+
+
+def input_path(name, tmp_path):
+    """The path of a fixture, or of the 12-line pencil written to tmp_path."""
+    if name != PENCIL:
+        return os.path.join(FIXTURES, name + ".json")
+    path = tmp_path / f"{PENCIL}.json"
+    path.write_text(to_json(pencil(12)))
+    return str(path)
 
 
 def call_counts(argv, functions):
@@ -57,7 +68,8 @@ def stage_counts(argv):
 @pytest.mark.parametrize(
     "argv, expected",
     [
-        (["ring", "boolean_cp2"], (1, 1, 1)),
+        # the atomic model needs no level decomposition
+        (["ring", "boolean_cp2"], (1, 1, 0)),
         (["homology", "boolean_cp2"], (1, 1, 1)),
         (["ring", "--affine", "0", "boolean_cp2"], (1, 1, 0)),
         (["poset", "boolean_cp2"], (1, 1, 0)),
@@ -68,12 +80,14 @@ def stage_counts(argv):
         # (3 seeds): the section check reads the closure's masks
         (["verify", "boolean_cp2"], (1, 4, 1)),
         (["verify", "skew_lines"], (1, 4, 1)),
+        # the relative fallback
+        (["ring", PENCIL], (1, 1, 1)),
     ],
     ids=lambda v: " ".join(v) if isinstance(v, list) else None,
 )
-def test_each_stage_runs_once_per_command(capsys, argv, expected):
+def test_each_stage_runs_once_per_command(capsys, tmp_path, argv, expected):
     *flags, name = argv
-    code, counts = stage_counts(flags + [os.path.join(FIXTURES, name + ".json")])
+    code, counts = stage_counts(flags + [input_path(name, tmp_path)])
     assert code == 0
     assert counts == expected
 
@@ -244,17 +258,7 @@ def closure_work(arr):
     return result, reductions, meets
 
 
-def _perfbench(name):
-    """A module of perfbench/, loaded by path; it imports nothing of projarr."""
-    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", name + ".py")
-    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
-
-
-generators, spans = _perfbench("generators"), _perfbench("spans")
+generators, spans = perfbench("generators"), perfbench("spans")
 
 
 def _closure_cases():
@@ -406,26 +410,39 @@ def complex_assembly(argv):
     return code, entered, returned
 
 
+def assert_each_start_s_chains_are_enumerated_once(argv):
+    # every relative and local complex is read off one enumeration of the
+    # chains to V per start element, which stays out of the tracer's reach
+    # (no public module function), and assembly enters only the builders
+    # and complex_from_faces
+    code, entered, returned = complex_assembly(argv)
+    assert code == 0
+    assert set(entered) == {"projarr.chains.complex_from_faces"}
+    assert len({poset for poset, _ in returned}) == 1
+    assert all(len({id(chains) for chains in lists}) == 1 for lists in returned.values())
+    if "--affine" not in argv:
+        # the levels read every start of d >= 0
+        assert {u for _, u in returned} == set(range(max(u for _, u in returned) + 1))
+
+
 @pytest.mark.parametrize("name", ["boolean_cp3", "generic4_cp2", "points5_cp1"])
 @pytest.mark.parametrize(
     "flags", [["ring"], ["homology"], ["ring", "--affine", "0"], ["presentation", "--c", "1"]], ids=" ".join
 )
 def test_each_start_s_chains_are_enumerated_once(capsys, flags, name):
-    # every relative and local complex is read off one enumeration of the
-    # chains to V per start element, which stays out of the tracer's reach
-    # (no public module function), and assembly enters only the builders
-    # and complex_from_faces
-    code, entered, returned = complex_assembly(flags + [os.path.join(FIXTURES, name + ".json")])
-    assert code == 0
-    assert set(entered) == {"projarr.chains.complex_from_faces"}
-    assert len({poset for poset, _ in returned}) == 1
-    assert all(len({id(chains) for chains in lists}) == 1 for lists in returned.values())
-    if "--affine" not in flags:
-        # the levels read every start of d >= 0
-        assert {u for _, u in returned} == set(range(max(u for _, u in returned) + 1))
+    argv = flags + [os.path.join(FIXTURES, name + ".json")]
+    if flags == ["ring"]:
+        # the atomic model lists no chain and builds no level complex
+        assert complex_assembly(argv) == (0, [], {})
+    else:
+        assert_each_start_s_chains_are_enumerated_once(argv)
 
 
-@pytest.mark.parametrize("workload, budget", [("hyperplane-ring", 145), ("subspace-verify", 725), ("line-affine", 588)])
+def test_the_relative_fallback_enumerates_each_start_s_chains_once(capsys, tmp_path):
+    assert_each_start_s_chains_are_enumerated_once(["ring", input_path(PENCIL, tmp_path)])
+
+
+@pytest.mark.parametrize("workload, budget", [("hyperplane-ring", 130), ("subspace-verify", 725), ("line-affine", 588)])
 def test_a_traced_pass_stays_within_its_span_budget(capsys, tmp_path, workload, budget):
     # the benchmark's traced run analyses passes² × spans per pass, so an
     # added span per call lengthens it: one pass of the workload's jobs at

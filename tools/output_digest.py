@@ -14,7 +14,10 @@ number parser (`NUMBERS`; some are refused).  On each input it runs
 again with `--format text`, in-process through `projarr.cli.main`.
 The digest covers each run's input name, argv, stdout, stderr and exit
 code (or the exception it raised), so two trees with the same digest
-give byte-identical output on all of them.
+give byte-identical output on all of them.  It is printed first; one
+line per command follows, with the digest of that command's runs alone
+(`--affine i` standing for every member index), to show which commands'
+outputs a change moves.
 """
 
 from __future__ import annotations
@@ -31,23 +34,14 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench"), str(ROOT / "tests")]
 
 import generators  # noqa: E402
-from arrangements import boolean, generic_hyperplanes  # noqa: E402
-from projarr import Arrangement, InputError, parse_arrangement  # noqa: E402
+from arrangements import boolean, generic_hyperplanes, to_json  # noqa: E402
+from projarr import InputError, parse_arrangement  # noqa: E402
 from projarr.cli import main  # noqa: E402
 
 SEEDS = (3, 11)
 # first coordinates of a point of CP¹: signs, leading zeros, underscores,
 # spaces, a non-ASCII digit, non-integers, and three refused entries
 NUMBERS = ["+7", "-0", "007", "1_000", " 3 ", "\u0663", "1e5", "3/4", 1.5, "True", "1" * 4301, "1e4301"]
-
-
-def to_json(arr: Arrangement) -> str:
-    """The arrangement in the input format: each member by its basis."""
-    members = [
-        {"name": name, "span": [list(row) for row in s.basis]}
-        for name, s in zip(arr.names, arr.subspaces)
-    ]
-    return json.dumps({"ambient_dim": arr.ambient_dim, "subspaces": members})
 
 
 def inputs() -> dict[str, str]:
@@ -89,17 +83,28 @@ def run(argv: list[str]) -> str:
     return json.dumps([out.getvalue(), err.getvalue(), result])
 
 
-def digest() -> str:
+def command_of(argv: list[str]) -> str:
+    """The command a run belongs to: its argv with the --affine index as i."""
+    return " ".join("i" if i and argv[i - 1] == "--affine" else a for i, a in enumerate(argv))
+
+
+def digests() -> tuple[str, dict[str, str]]:
+    """The digest of every run, and per command the digest of its runs."""
     total = hashlib.sha256()
+    per_command: dict = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in inputs().items():
             path = Path(tmp) / "input.json"
             path.write_text(text)
             for argv in commands(text):
-                record = json.dumps([name, argv]) + "\n" + run(argv + [str(path)]) + "\n"
-                total.update(record.encode())
-    return total.hexdigest()
+                record = (json.dumps([name, argv]) + "\n" + run(argv + [str(path)]) + "\n").encode()
+                total.update(record)
+                per_command.setdefault(command_of(argv), hashlib.sha256()).update(record)
+    return total.hexdigest(), {key: h.hexdigest() for key, h in per_command.items()}
 
 
 if __name__ == "__main__":
-    print(digest())
+    total, per_command = digests()
+    print(total)
+    for key, value in per_command.items():
+        print(f"{value}  {key}")
